@@ -24,7 +24,7 @@ class SegmentScore:
 
 def aggregate_score(m: FrameScoreMatrix) -> float:
     """Mean over frames of the summed channel scores (division by D only)."""
-    per_frame = [math.fsum(row) for row in m.scores]
+    per_frame = [math.fsum(row) for row in m.scores.tolist()]
     return math.fsum(per_frame) / m.num_frames
 
 

@@ -56,7 +56,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
     """Read a RIFF/WAVE file into a mono AudioBuffer.
 
     Stereo input is downmixed by channel mean. PCM16 samples are scaled by
-    1/32768; float32 samples are clamped to [-1, 1].
+    1/32768; float32 samples are clamped to [-1, 1], and NaN or infinite
+    ones are rejected.
     """
     data = Path(path).read_bytes()
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
@@ -90,6 +91,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
         samples = raw.astype(np.float64) / _PCM16_FULL_SCALE
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
+        if not np.all(np.isfinite(raw)):
+            raise WavFormatError(f"{path}: non-finite float32 samples")
         samples = np.clip(raw.astype(np.float64), -1.0, 1.0)
     else:
         raise UnsupportedCodecError(

@@ -3,6 +3,10 @@
 Reconstruction paths normalize by the accumulated synthesis-window energy
 per sample, so any analysis/synthesis pair used here gives exact
 pass-through when frames are left untouched.
+
+The `*_rows` primitives work along the last axis with any leading batch
+axes, so a clip's segments go through as one (T, n) array; the functions
+taking an AudioBuffer are the one-signal case of the same code.
 """
 
 from __future__ import annotations
@@ -58,12 +62,6 @@ class Stft:
     def num_frames(self) -> int:
         return self.frames.shape[0]
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.frames)
-
-    def phases(self) -> np.ndarray:
-        return np.angle(self.frames)
-
 
 def num_frames_for(length: int, frame_len: int, hop: int) -> int:
     """Frame count with zero-padding: 1 + ceil((length - frame_len)/hop)."""
@@ -72,17 +70,23 @@ def num_frames_for(length: int, frame_len: int, hop: int) -> int:
     return 1 + math.ceil((length - frame_len) / hop)
 
 
-def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
-    """Slice a buffer into overlapping frames, zero-padding the tail."""
-    if len(buf) == 0:
+def frame_rows(rows: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Frames of the last axis, (..., n) -> (..., num_frames, frame_len), tail
+    zero-padded. A read-only strided view: copy it before writing."""
+    n = rows.shape[-1]
+    if n == 0:
         raise ValueError("cannot frame an empty buffer")
     if not 0 < hop <= frame_len:
         raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
-    n = num_frames_for(len(buf), frame_len, hop)
-    padded = np.zeros((n - 1) * hop + frame_len)
-    padded[: len(buf)] = buf.samples
-    strided = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
-    return FrameGrid(np.ascontiguousarray(strided), hop)
+    count = num_frames_for(n, frame_len, hop)
+    padded = np.zeros(rows.shape[:-1] + ((count - 1) * hop + frame_len,))
+    padded[..., :n] = rows
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_len, axis=-1)[..., ::hop, :]
+
+
+def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
+    """Slice a buffer into overlapping frames, zero-padding the tail."""
+    return FrameGrid(np.ascontiguousarray(frame_rows(buf.samples, frame_len, hop)), hop)
 
 
 def _analysis_window(name: str, length: int) -> np.ndarray:
@@ -101,60 +105,89 @@ def _crossfade_window(length: int) -> np.ndarray:
     return ramp / ramp.max()
 
 
-def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128,
-         window: str = "hann") -> Stft:
-    """Forward STFT over zero-padded frames of the input."""
+def stft_rows(rows: np.ndarray, fft_len: int = 512, hop: int = 128,
+              window: str = "hann") -> np.ndarray:
+    """One-sided spectra of every frame of the last axis: (..., frames, bins)."""
     if fft_len <= 0 or fft_len & (fft_len - 1):
         raise ValueError(f"fft_len must be a power of two, got {fft_len}")
     if fft_len % hop:
         raise ValueError(f"hop {hop} must divide fft_len {fft_len}")
-    grid = frame_signal(buf, fft_len, hop)
+    frames = frame_rows(rows, fft_len, hop)
+    return np.fft.rfft(frames * _analysis_window(window, fft_len), n=fft_len, axis=-1)
+
+
+def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128,
+         window: str = "hann") -> Stft:
+    """Forward STFT over zero-padded frames of the input."""
+    return Stft(stft_rows(buf.samples, fft_len, hop, window), fft_len, hop, window)
+
+
+def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int,
+                         den_win: np.ndarray) -> np.ndarray:
+    """Overlap-add frames (..., num_frames, frame_len) that already carry
+    their synthesis window, frame m at offset m * hop, and divide each sample
+    by the summed den_win of the grid (0 where that sum vanishes).
+
+    The sum runs as ceil(frame_len / hop) shifted adds of hop-wide pieces
+    over all frames and rows at once. Piece r of frame m lands in block
+    m + r; taking r from last to first adds every sample's frames in
+    increasing m, the order of a frame-by-frame loop, so each row's result
+    is bit-identical to that row overlap-added alone. The output is cut or
+    zero-padded to out_len samples.
+    """
+    num, frame_len = weighted.shape[-2:]
+    pieces = -(-frame_len // hop)
+    blocks = num + pieces - 1
+    acc = np.zeros(weighted.shape[:-2] + (blocks, hop))
+    den = np.zeros((blocks, hop))
+    for r in reversed(range(pieces)):
+        lo = r * hop
+        width = min(hop, frame_len - lo)
+        acc[..., r:r + num, :width] += weighted[..., lo:lo + width]
+        den[r:r + num, :width] += den_win[lo:lo + width]
+    total = (num - 1) * hop + frame_len
+    acc = acc.reshape(acc.shape[:-2] + (blocks * hop,))[..., :total]
+    den = den.reshape(-1)[:total]
+    acc /= np.maximum(den, _DENOM_FLOOR)
+    acc[..., den <= _DENOM_FLOOR] = 0.0
+    if out_len <= total:
+        return acc[..., :out_len]
+    result = np.zeros(acc.shape[:-1] + (out_len,))
+    result[..., :total] = acc
+    return result
+
+
+def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
+               window: str = "hann") -> np.ndarray:
+    """Invert stft_rows: irfft per frame, then normalized overlap-add."""
     win = _analysis_window(window, fft_len)
-    spectra = np.fft.rfft(grid.frames * win, n=fft_len, axis=1)
-    return Stft(spectra, fft_len, hop, window)
+    frames = np.fft.irfft(spectra, n=fft_len, axis=-1)
+    frames *= win
+    return weighted_overlap_add(frames, hop, out_len, win * win)
 
 
 def istft(spec: Stft, out_len: int, sample_rate_hz: int = 16000) -> AudioBuffer:
     """Invert an STFT by weighted overlap-add with per-sample normalization."""
-    frames = np.fft.irfft(spec.frames, n=spec.fft_len, axis=1)
-    win = _analysis_window(spec.window, spec.fft_len)
-    total = (spec.num_frames - 1) * spec.hop + spec.fft_len
-    acc = np.zeros(total)
-    den = np.zeros(total)
-    for m in range(spec.num_frames):
-        sl = slice(m * spec.hop, m * spec.hop + spec.fft_len)
-        acc[sl] += frames[m] * win
-        den[sl] += win * win
-    out = np.where(den > _DENOM_FLOOR, acc / np.maximum(den, _DENOM_FLOOR), 0.0)
-    result = np.zeros(out_len)
-    keep = min(out_len, total)
-    result[:keep] = out[:keep]
-    return AudioBuffer(result, sample_rate_hz)
+    return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len, spec.window),
+                       sample_rate_hz)
 
 
-def overlap_add(frames: np.ndarray, hop: int, out_len: int,
-                sample_rate_hz: int = 16000) -> AudioBuffer:
-    """Rebuild a signal from (possibly modified) frames.
+def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
+    """Rebuild signals from (possibly modified) frames (..., num_frames, frame_len).
 
     Frames are weighted by a strictly positive triangular window and the sum
     is normalized by the accumulated weights of the full grid, which makes
     unmodified frames reconstruct the input exactly and zeroed frames
     cross-fade against their neighbors.
     """
+    win = _crossfade_window(frames.shape[-1])
+    return weighted_overlap_add(frames * win, hop, out_len, win)
+
+
+def overlap_add(frames: np.ndarray, hop: int, out_len: int,
+                sample_rate_hz: int = 16000) -> AudioBuffer:
+    """overlap_add_rows for one signal's (num_frames, frame_len) frames."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError("frames must be a 2-D array")
-    n, frame_len = frames.shape
-    win = _crossfade_window(frame_len)
-    total = (n - 1) * hop + frame_len
-    acc = np.zeros(total)
-    den = np.zeros(total)
-    for m in range(n):
-        sl = slice(m * hop, m * hop + frame_len)
-        acc[sl] += frames[m] * win
-        den[sl] += win
-    out = acc / np.maximum(den, _DENOM_FLOOR)
-    result = np.zeros(out_len)
-    keep = min(out_len, total)
-    result[:keep] = out[:keep]
-    return AudioBuffer(result, sample_rate_hz)
+    return AudioBuffer(overlap_add_rows(frames, hop, out_len), sample_rate_hz)

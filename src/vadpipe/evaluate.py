@@ -126,15 +126,30 @@ def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> floa
                for t in range(len(segment_values) - w + 1))
 
 
-def _evaluate_clip(task: tuple[str, PipelineConfig]) -> tuple[str, object, object]:
-    """Worker: score one clip. Returns ('ok', values, final) or ('error', msg, None)."""
-    path, cfg = task
+def _evaluate_clip(task: tuple[str, Sequence[PipelineConfig]]) -> list[tuple]:
+    """Worker: decode one clip once and run every config on it.
+
+    Returns one outcome per config, ('ok', values, final) or ('error', msg,
+    None). Any exception becomes that clip's error, so one bad clip cannot
+    abort the whole evaluation.
+    """
+    path, cfgs = task
     try:
         buf = ensure_rate(read_wav(path))
-        result = run_pipeline(buf, cfg)
-        return ("ok", result.segment_values, result.decision.final)
-    except (OSError, ValueError) as exc:
-        return ("error", f"{path}: {exc}", None)
+    except Exception as exc:
+        return [_clip_error(path, exc)] * len(cfgs)
+    outcomes = []
+    for cfg in cfgs:
+        try:
+            result = run_pipeline(buf, cfg)
+            outcomes.append(("ok", result.segment_values, result.decision.final))
+        except Exception as exc:
+            outcomes.append(_clip_error(path, exc))
+    return outcomes
+
+
+def _clip_error(path: str, exc: Exception) -> tuple:
+    return ("error", f"{path}: {type(exc).__name__}: {exc}", None)
 
 
 def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
@@ -142,26 +157,28 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
              tpr_targets: Sequence[float] = (0.99,)) -> list[EvalReport]:
     """Score every manifest clip under every config and assemble reports.
 
-    Clips are scored once per config; the ROC sweep reuses the cached
-    per-clip statistics. Output ordering and file bytes are independent of
-    the worker count.
+    Each clip is decoded once and scored under every config, in one task;
+    with jobs > 1 one process pool serves the whole evaluation. The ROC
+    sweep reuses the cached per-clip statistics. Output ordering and file
+    bytes are independent of the worker count.
     """
     if not manifest.entries:
         raise ValueError("manifest has no entries")
-    reports = []
-    for cfg in configs:
-        tasks = [(str(manifest.resolve(e)), cfg) for e in manifest.entries]
-        if jobs == 1:
-            outcomes = [_evaluate_clip(t) for t in tasks]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(_evaluate_clip, tasks, chunksize=8))
+    configs = list(configs)
+    tasks = [(str(manifest.resolve(e)), configs) for e in manifest.entries]
+    if jobs == 1:
+        per_clip = [_evaluate_clip(t) for t in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_clip = list(pool.map(_evaluate_clip, tasks, chunksize=8))
 
+    reports = []
+    for i, cfg in enumerate(configs):
         decisions = []
         stats = []
         errors = []
-        for entry, outcome in zip(manifest.entries, outcomes):
-            status, payload, final = outcome
+        for entry, outcomes in zip(manifest.entries, per_clip):
+            status, payload, final = outcomes[i]
             if status == "error":
                 errors.append(payload)
                 continue

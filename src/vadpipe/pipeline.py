@@ -3,7 +3,9 @@
 Three named configurations cover the evaluation settings: `baseline` makes
 one decision over the whole clip, `vad1` adds per-segment decisions with
 sliding-window voting, and `vad2` additionally runs the noise-removal
-preprocessing on every segment.
+preprocessing on every segment. A clip's segments travel as one zero-padded
+(T, seg_len) array through pre-processing and scoring; the results are the
+same as running each segment on its own.
 """
 
 from __future__ import annotations
@@ -16,11 +18,21 @@ import numpy as np
 from .audio_io import AudioBuffer
 from .aggregate import SegmentScore, decide_segment
 from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
-from .preprocess import PreprocessConfig, clip_noise_profile, preprocess_segment
+# preprocess_segment is unused here but kept importable from this module:
+# perfbench/tracing.py wraps each stage function in this namespace.
+from .preprocess import (PreprocessConfig, clip_noise_profile, preprocess_rows,  # noqa: F401
+                         preprocess_segment)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
 
 MODES = ("baseline", "vad1", "vad2")
 SCORER_BACKENDS = ("reference", "score-file")
+# Segments run through pre-processing and scoring this many rows at a time.
+# Rows are independent, so the block size changes no result. At 8 rows each
+# stage's temporaries stay near 1 MB and the allocator reuses them from block
+# to block; whole-clip temporaries (~5 MB each for 40 rows) are mapped and
+# page-faulted afresh on every call, which measured ~20 % slower for vad2
+# (42 vs 34 ms per 8 s clip, median, 2-vCPU Xeon VM).
+ROW_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -69,16 +81,20 @@ class PipelineResult:
         return [s.value for s in self.segment_scores]
 
 
-def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
-    """Split into non-overlapping segments, zero-padding the last one."""
+def segment_rows(buf: AudioBuffer, segment_ms: float) -> np.ndarray:
+    """Non-overlapping segments as the rows of a (T, seg_len) array, the
+    last one zero-padded."""
     if len(buf) == 0:
         raise ValueError("cannot segment an empty buffer")
     seg_len = int(round(buf.sample_rate_hz * segment_ms / 1000.0))
-    count = math.ceil(len(buf) / seg_len)
-    padded = np.zeros(count * seg_len)
-    padded[: len(buf)] = buf.samples
-    return [AudioBuffer(padded[i * seg_len:(i + 1) * seg_len], buf.sample_rate_hz)
-            for i in range(count)]
+    rows = np.zeros((math.ceil(len(buf) / seg_len), seg_len))
+    rows.reshape(-1)[: len(buf)] = buf.samples
+    return rows
+
+
+def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
+    """Split into non-overlapping segments, zero-padding the last one."""
+    return [AudioBuffer(row, buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
 
 
 def _decide(labels: list[int], scores: list[SegmentScore],
@@ -97,12 +113,16 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig,
         decision = VadDecision((ss.label,), (ss.label,), ss.label)
         return PipelineResult(decision, (ss,))
 
-    segments = segment(buf, cfg.segment_ms)
+    rows = segment_rows(buf, cfg.segment_ms)
     if cfg.preprocess_enabled:
         noise = clip_noise_profile(buf, cfg.preprocess)
-        segments = [preprocess_segment(s, cfg.preprocess, noise=noise)
-                    for s in segments]
-    scores = [decide_segment(scorer.score(s), cfg.thresh) for s in segments]
+    scores = []
+    for start in range(0, len(rows), ROW_BLOCK):
+        block = rows[start:start + ROW_BLOCK]
+        if cfg.preprocess_enabled:
+            block = preprocess_rows(block, buf.sample_rate_hz, cfg.preprocess, noise)
+        scores.extend(decide_segment(FrameScoreMatrix(m, scorer.hop_ms), cfg.thresh)
+                      for m in scorer.score_rows(block, buf.sample_rate_hz))
     return _decide([s.label for s in scores], scores, cfg)
 
 

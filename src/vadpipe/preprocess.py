@@ -1,7 +1,9 @@
 """Noise-removal chain: spectral subtraction, energy gating, RMS normalization.
 
 Each stage is value-in/value-out, preserves buffer length, and maps silence
-to silence, so stages compose in any order.
+to silence, so stages compose in any order. Every stage runs row by row over
+a (T, n) array of segments (`preprocess_rows`); the AudioBuffer functions
+are its T = 1 case.
 """
 
 from __future__ import annotations
@@ -84,6 +86,32 @@ def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float):
     return np.maximum(x_mag - alpha * noise_mag, beta * noise_mag)
 
 
+def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
+                       noise_mag: np.ndarray | None) -> np.ndarray:
+    """Spectral subtraction of every row of a (T, n) array.
+
+    noise_mag is one magnitude per bin for all rows; None estimates it per
+    row from that row's own leading frames.
+    """
+    n = rows.shape[1]
+    if noise_mag is None:
+        spec = dsp.stft_rows(rows, cfg.fft_len, cfg.fft_hop)
+        k = min(cfg.noise_frames, spec.shape[1])
+        noise_mag = np.abs(spec[:, :k]).mean(axis=1, keepdims=True)
+    pad = min(cfg.fft_len, n - 1)
+    padded = np.pad(rows, ((0, 0), (pad, pad)), mode="reflect") if pad else rows
+    spec = dsp.stft_rows(padded, cfg.fft_len, cfg.fft_hop)
+    mag = np.abs(spec)
+    clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta)
+    # X * clean/|X| keeps the noisy phase; a zero bin has phase 0, so it
+    # becomes the real value clean.
+    zero = mag == 0.0
+    spec *= np.divide(clean, mag, out=mag, where=~zero)
+    np.copyto(spec, clean, where=zero)
+    out = dsp.istft_rows(spec, cfg.fft_len, cfg.fft_hop, padded.shape[1])
+    return out[:, pad:pad + n]
+
+
 def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
                       noise: NoiseProfile | None = None) -> AudioBuffer:
     """Subtract an estimated noise magnitude spectrum, keeping the noisy phase.
@@ -94,39 +122,40 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     has full analysis-window coverage; otherwise modified edge frames get
     amplified by the tiny overlap-add weights there.
     """
-    if noise is None:
-        spec = dsp.stft(buf, cfg.fft_len, cfg.fft_hop)
-        noise = estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
-
-    pad = min(cfg.fft_len, len(buf) - 1)
-    samples = np.pad(buf.samples, pad, mode="reflect") if pad else buf.samples
-    spec = dsp.stft(AudioBuffer(samples, buf.sample_rate_hz), cfg.fft_len, cfg.fft_hop)
-    clean_mag = subtract_magnitude(spec.magnitudes(), cfg.alpha,
-                                   noise.magnitude_spectrum, cfg.beta)
-    rebuilt = clean_mag * np.exp(1j * spec.phases())
-    out = dsp.istft(dsp.Stft(rebuilt, cfg.fft_len, cfg.fft_hop, spec.window),
-                    len(samples), buf.sample_rate_hz)
-    return AudioBuffer(out.samples[pad:pad + len(buf)], buf.sample_rate_hz)
+    noise_mag = None if noise is None else noise.magnitude_spectrum
+    return AudioBuffer(_spectral_subtract(buf.samples[None], cfg, noise_mag)[0],
+                       buf.sample_rate_hz)
 
 
-def effective_theta(cfg: PreprocessConfig, frame_energies: np.ndarray) -> float:
-    if cfg.theta_relative:
-        return cfg.theta * float(frame_energies.mean())
-    return cfg.theta
+def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int,
+                 frame_len: int | None = None, hop: int | None = None) -> np.ndarray:
+    if frame_len is None:
+        frame_len = int(round(sample_rate_hz * cfg.gate_frame_ms / 1000.0))
+    if hop is None:
+        hop = int(round(sample_rate_hz * cfg.gate_hop_ms / 1000.0))
+    frames = dsp.frame_rows(rows, frame_len, hop)
+    energies = np.sum(frames ** 2, axis=-1)
+    theta = cfg.theta
+    if cfg.theta_relative:  # a fraction of each row's own mean frame energy
+        theta = theta * energies.mean(axis=-1, keepdims=True)
+    gated = np.where((energies >= theta)[..., None], frames, 0.0)
+    return dsp.overlap_add_rows(gated, hop, rows.shape[-1])
 
 
 def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig,
                 frame_len: int | None = None, hop: int | None = None) -> AudioBuffer:
     """Zero frames whose energy falls below the threshold, then overlap-add."""
-    if frame_len is None:
-        frame_len = int(round(buf.sample_rate_hz * cfg.gate_frame_ms / 1000.0))
-    if hop is None:
-        hop = int(round(buf.sample_rate_hz * cfg.gate_hop_ms / 1000.0))
-    grid = dsp.frame_signal(buf, frame_len, hop)
-    energies = np.sum(grid.frames ** 2, axis=1)
-    theta = effective_theta(cfg, energies)
-    gated = np.where((energies >= theta)[:, None], grid.frames, 0.0)
-    return dsp.overlap_add(gated, hop, len(buf), buf.sample_rate_hz)
+    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz, frame_len, hop),
+                       buf.sample_rate_hz)
+
+
+def _rms_normalize(rows: np.ndarray, target: float) -> np.ndarray:
+    # Rows below the silence floor get scale 1; their samples are far inside
+    # [-1, 1], so the clip leaves them as they are.
+    rms = np.sqrt(np.mean(rows ** 2, axis=-1, keepdims=True))
+    scale = np.where(rms < SILENCE_RMS_FLOOR, 1.0,
+                     target / np.maximum(rms, SILENCE_RMS_FLOOR))
+    return np.clip(rows * scale, -1.0, 1.0)
 
 
 def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
@@ -137,11 +166,7 @@ def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
     """
     if target <= 0.0:
         raise ValueError(f"target must be positive, got {target}")
-    rms = float(np.sqrt(np.mean(buf.samples ** 2)))
-    if rms < SILENCE_RMS_FLOOR:
-        return AudioBuffer(buf.samples.copy(), buf.sample_rate_hz)
-    scaled = np.clip(buf.samples * (target / rms), -1.0, 1.0)
-    return AudioBuffer(scaled, buf.sample_rate_hz)
+    return AudioBuffer(_rms_normalize(buf.samples, target), buf.sample_rate_hz)
 
 
 def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
@@ -149,27 +174,40 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
 
     Estimating once per clip keeps segments that are entirely speech from
     subtracting their own content; the clip lead-in is the best stand-in
-    for the background the paper's method assumes.
+    for the background the paper's method assumes. Only the samples the
+    leading frames cover are transformed.
     """
-    spec = dsp.stft(buf, cfg.fft_len, cfg.fft_hop)
+    lead_in = (cfg.noise_frames - 1) * cfg.fft_hop + cfg.fft_len
+    spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz),
+                    cfg.fft_len, cfg.fft_hop)
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
+
+
+def preprocess_rows(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
+                    noise: NoiseProfile | None = None) -> np.ndarray:
+    """Run the configured stages in order over every row of a (T, n) array.
+
+    `noise` feeds the spectral-subtraction stage; when omitted, each row
+    estimates from its own leading frames.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")
+    noise_mag = None if noise is None else noise.magnitude_spectrum
+    for stage in cfg.stages:
+        if stage == "spectral_subtract":
+            rows = _spectral_subtract(rows, cfg, noise_mag)
+        elif stage == "energy_gate":
+            rows = _energy_gate(rows, cfg, sample_rate_hz)
+        elif stage == "rms_normalize":
+            rows = _rms_normalize(rows, cfg.target_rms)
+    return rows
 
 
 def preprocess_segment(seg: AudioBuffer, cfg: PreprocessConfig,
                        noise: NoiseProfile | None = None) -> AudioBuffer:
-    """Run the configured stages in order over one segment.
-
-    `noise` feeds the spectral-subtraction stage; when omitted, each segment
-    estimates from its own leading frames.
-    """
+    """Run the configured stages in order over one segment (see preprocess_rows)."""
     if len(seg) == 0:
         raise ValueError("cannot preprocess an empty segment")
-    out = seg
-    for stage in cfg.stages:
-        if stage == "spectral_subtract":
-            out = spectral_subtract(out, cfg, noise=noise)
-        elif stage == "energy_gate":
-            out = energy_gate(out, cfg)
-        elif stage == "rms_normalize":
-            out = rms_normalize(out, cfg.target_rms)
-    return out
+    return AudioBuffer(preprocess_rows(seg.samples[None], seg.sample_rate_hz, cfg, noise)[0],
+                       seg.sample_rate_hz)

@@ -8,6 +8,7 @@ Scores are nonnegative per frame and channel.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,8 +60,12 @@ class FrameScoreMatrix:
         return self.scores.shape[1]
 
 
+@functools.lru_cache(maxsize=16)
 def mel_filterbank(num_bands: int, fft_len: int, sample_rate_hz: int) -> np.ndarray:
-    """Triangular mel-spaced filters over the one-sided FFT bins."""
+    """Triangular mel-spaced filters over the one-sided FFT bins.
+
+    Built once per argument triple; the shared array is read-only.
+    """
     def hz_to_mel(f):
         return 2595.0 * np.log10(1.0 + f / 700.0)
 
@@ -76,6 +81,7 @@ def mel_filterbank(num_bands: int, fft_len: int, sample_rate_hz: int) -> np.ndar
         up = (bin_freqs - lo) / max(mid - lo, 1e-9)
         down = (hi - bin_freqs) / max(hi - mid, 1e-9)
         weights[b] = np.clip(np.minimum(up, down), 0.0, None)
+    weights.setflags(write=False)
     return weights
 
 
@@ -94,18 +100,24 @@ class ReferenceScorer:
     fft_len: int = 512
 
     def score(self, seg: AudioBuffer) -> FrameScoreMatrix:
-        sr = seg.sample_rate_hz
-        frame_len = int(round(sr * self.frame_ms / 1000.0))
-        hop = int(round(sr * self.hop_ms / 1000.0))
-        grid = dsp.frame_signal(seg, frame_len, hop)
-        win = np.hanning(frame_len)
-        spectra = np.fft.rfft(grid.frames * win, n=self.fft_len, axis=1)
-        power = np.abs(spectra) ** 2
-        fb = mel_filterbank(self.bands, self.fft_len, sr)
+        return FrameScoreMatrix(self.score_rows(seg.samples[None], seg.sample_rate_hz)[0],
+                                self.hop_ms)
+
+    def score_rows(self, rows: np.ndarray, sample_rate_hz: int) -> np.ndarray:
+        """Scores of every row of a (T, n) array: (T, frames, bands).
+
+        Each row gets its own noise floor, exactly as if scored alone.
+        """
+        frame_len = int(round(sample_rate_hz * self.frame_ms / 1000.0))
+        hop = int(round(sample_rate_hz * self.hop_ms / 1000.0))
+        frames = dsp.frame_rows(rows, frame_len, hop)
+        spectra = np.fft.rfft(frames * np.hanning(frame_len), n=self.fft_len, axis=-1)
+        power = np.abs(spectra)
+        np.square(power, out=power)
+        fb = mel_filterbank(self.bands, self.fft_len, sample_rate_hz)
         log_energy = np.log(power @ fb.T + _LOG_FLOOR)
-        floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=0)
-        scores = np.maximum(log_energy - floor, 0.0)
-        return FrameScoreMatrix(scores, self.hop_ms)
+        floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
+        return np.maximum(log_energy - floor, 0.0)
 
 
 def load_scores(path: str | Path) -> FrameScoreMatrix:
@@ -126,6 +138,9 @@ def load_scores(path: str | Path) -> FrameScoreMatrix:
         frame_ms = float(fields["frame_ms"])
     except (KeyError, ValueError) as exc:
         raise ScoreFormatError(f"{path}: bad header {header!r}") from exc
+    if channels < 1 or not (math.isfinite(frame_ms) and frame_ms > 0):
+        raise ScoreFormatError(
+            f"{path}: header needs channels >= 1 and a finite positive frame_ms: {header!r}")
 
     if len(lines) == 1:
         raise ScoreFormatError(f"{path}: no score rows")

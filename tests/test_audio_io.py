@@ -41,6 +41,13 @@ class TestReadWav:
         buf = read_wav(path)
         assert buf.samples == pytest.approx([0.25, -1.0, 1.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_float32_non_finite_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.wav"
+        path.write_bytes(build_wav(struct.pack("<3f", 0.25, bad, 0.5), fmt_tag=3, bits=32))
+        with pytest.raises(WavFormatError, match="non-finite"):
+            read_wav(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.wav"
         path.write_bytes(b"OGGThis is not a wav file at all")

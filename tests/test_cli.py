@@ -94,6 +94,25 @@ class TestDetectCommand:
                      "--thresh", "10", str(scores)]) == 0
         assert capsys.readouterr().out.strip().endswith("\t1")
 
+    def test_nan_wav_fails_clip(self, tmp_path, capsys):
+        import struct
+        wav = tmp_path / "nan.wav"
+        payload = struct.pack("<4f", 0.1, float("nan"), 0.2, 0.3)
+        wav.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+                        + b"fmt " + struct.pack("<IHHIIHH", 16, 3, 1, 16000, 64000, 4, 32)
+                        + b"data" + struct.pack("<I", len(payload)) + payload)
+        assert main(["detect", "--mode", "vad2", str(wav)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "non-finite" in out.err
+
+    @pytest.mark.parametrize("mode", ["baseline", "vad1"])
+    def test_bad_score_header_fails_clip(self, tmp_path, capsys, mode):
+        scores = tmp_path / "inf.txt"
+        scores.write_text("#channels=1 frame_ms=inf\n1 0.5\n2 0.5\n")
+        assert main(["detect", "--mode", mode, "--scorer", "score-file", str(scores)]) == 1
+        err = capsys.readouterr().err
+        assert "inf.txt" in err and "frame_ms" in err
+
     def test_no_inputs_usage_error(self):
         assert main(["detect", "--mode", "vad1"]) == 2
 

@@ -5,6 +5,7 @@ from vadpipe import dsp
 from vadpipe.audio_io import AudioBuffer
 
 from conftest import make_buffer
+import oracle
 
 
 class TestFrameSignal:
@@ -92,6 +93,13 @@ class TestStftIstft:
         assert len(dsp.istft(spec, 2500)) == 2500
         assert len(dsp.istft(spec, 5000)) == 5000
 
+    def test_vanishing_window_energy_gives_zero(self, rng):
+        # periodic hann at 4096 points: w[1]**2 ~ 3.5e-13 is under the floor,
+        # so sample 1 of a modified spectrum must not be divided by it
+        spectra = rng.standard_normal((3, 2049)) + 1j * rng.standard_normal((3, 2049))
+        out = dsp.istft(dsp.Stft(spectra, 4096, 1024, "hann"), 6144).samples
+        assert out[0] == 0.0 and out[1] == 0.0
+
     def test_parseval_per_rect_frame(self, rng):
         samples = rng.standard_normal(512) * 0.5
         spec = dsp.stft(make_buffer(samples), fft_len=512, hop=512, window="rect")
@@ -116,6 +124,22 @@ class TestOverlapAdd:
         frame = rng.standard_normal(400) * 0.2
         out = dsp.overlap_add(frame[None, :], 400, 400)
         assert np.max(np.abs(out.samples - frame)) <= 1e-9
+
+    @pytest.mark.parametrize("frame_len,hop", [(400, 160), (512, 128), (400, 400), (7, 3)])
+    def test_bit_identical_to_frame_loop(self, rng, frame_len, hop):
+        # the shifted-add sum keeps the frame-by-frame loop's order per sample
+        frames = rng.standard_normal((9, frame_len))
+        want = oracle.overlap_add(frames, hop, 8 * hop + frame_len + 5)
+        got = dsp.overlap_add(frames, hop, 8 * hop + frame_len + 5).samples
+        assert np.array_equal(got, want)
+        batch = dsp.overlap_add_rows(np.stack([frames, 2.0 * frames]), hop, len(want))
+        assert np.array_equal(batch[0], want)
+
+    def test_istft_bit_identical_to_frame_loop(self, rng):
+        spectra = rng.standard_normal((12, 257)) + 1j * rng.standard_normal((12, 257))
+        want = oracle.istft(spectra, 512, 128, 2000)
+        assert np.array_equal(dsp.istft(dsp.Stft(spectra, 512, 128, "hann"), 2000).samples,
+                              want)
 
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError):

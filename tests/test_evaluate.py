@@ -204,6 +204,31 @@ class TestRunEval:
         assert "ghost.wav" in reports[0].errors[0]
         assert reports[0].num_clips == len(corpus.entries)
 
+    def test_each_clip_decoded_once_for_all_modes(self, corpus, monkeypatch):
+        from vadpipe import evaluate
+        calls = []
+        real = evaluate.read_wav
+        monkeypatch.setattr(evaluate, "read_wav", lambda path: calls.append(path) or real(path))
+        configs = [PipelineConfig(mode=m, thresh=45.0) for m in ("baseline", "vad1", "vad2")]
+        run_eval(corpus, configs)
+        assert sorted(calls) == sorted(str(corpus.resolve(e)) for e in corpus.entries)
+
+    def test_any_worker_exception_is_a_clip_error(self, corpus, monkeypatch):
+        from vadpipe import evaluate
+        real = evaluate.run_pipeline
+
+        def flaky(buf, cfg):
+            if cfg.mode == "vad1":
+                raise RuntimeError("scorer exploded")
+            return real(buf, cfg)
+
+        monkeypatch.setattr(evaluate, "run_pipeline", flaky)
+        configs = [PipelineConfig(mode=m, thresh=45.0) for m in ("baseline", "vad1")]
+        baseline, vad1 = run_eval(corpus, configs)
+        assert baseline.errors == () and baseline.num_clips == len(corpus.entries)
+        assert vad1.num_clips == 0
+        assert all("RuntimeError: scorer exploded" in e for e in vad1.errors)
+
     def test_empty_manifest_rejected(self, tmp_path):
         from vadpipe.synth import Manifest
         with pytest.raises(ValueError):

@@ -137,6 +137,20 @@ class TestScoreFiles:
         with pytest.raises(ScoreFormatError):
             load_scores(path)
 
+    @pytest.mark.parametrize("frame_ms", ["inf", "nan", "0", "-5"])
+    def test_bad_frame_ms_rejected(self, tmp_path, frame_ms):
+        path = tmp_path / "f.txt"
+        path.write_text(f"#channels=1 frame_ms={frame_ms}\n1 0.5\n")
+        with pytest.raises(ScoreFormatError):
+            load_scores(path)
+
+    @pytest.mark.parametrize("channels", ["0", "-1"])
+    def test_bad_channel_count_rejected(self, tmp_path, channels):
+        path = tmp_path / "c.txt"
+        path.write_text(f"#channels={channels} frame_ms=10\n1\n")
+        with pytest.raises(ScoreFormatError):
+            load_scores(path)
+
     def test_header_only(self, tmp_path):
         path = tmp_path / "ho.txt"
         path.write_text("#channels=1 frame_ms=10\n")
