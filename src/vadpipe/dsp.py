@@ -7,11 +7,17 @@ pass-through when frames are left untouched.
 The `*_rows` primitives work along the last axis with any leading batch
 axes, so a clip's segments go through as one (T, n) array; the functions
 taking an AudioBuffer are the one-signal case of the same code.
+
+Large temporaries live in a per-thread scratch store (`scratch`) and are
+reused from call to call. A function that takes `key` writes its result
+there too when given one; without a key every result is a fresh array.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +25,10 @@ import numpy as np
 from .audio_io import AudioBuffer
 
 _DENOM_FLOOR = 1e-12
+# Scratch requests up to this size are kept for reuse; larger ones, such as
+# a long file scored in one piece, are allocated per call and freed.
+SCRATCH_LIMIT_BYTES = 4 << 20
+_scratch = threading.local()
 
 
 @dataclass(frozen=True)
@@ -63,6 +73,28 @@ class Stft:
         return self.frames.shape[0]
 
 
+def scratch(key: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An array for the temporary named key, contents undefined.
+
+    Each thread keeps one grow-only buffer per key, so the array stays valid
+    only until this thread's next request for the same key: no array the
+    package hands back to its caller may be a view of it.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    if nbytes > SCRATCH_LIMIT_BYTES:
+        return np.empty(shape, dtype)
+    store = vars(_scratch)
+    buf = store.get(key)
+    if buf is None or buf.nbytes < nbytes:
+        buf = store[key] = np.empty(nbytes, np.uint8)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _buffer(key: str | None, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    return np.empty(shape, dtype) if key is None else scratch(key, shape, dtype)
+
+
 def num_frames_for(length: int, frame_len: int, hop: int) -> int:
     """Frame count with zero-padding: 1 + ceil((length - frame_len)/hop)."""
     if length <= frame_len:
@@ -70,17 +102,25 @@ def num_frames_for(length: int, frame_len: int, hop: int) -> int:
     return 1 + math.ceil((length - frame_len) / hop)
 
 
-def frame_rows(rows: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+def frame_rows(rows: np.ndarray, frame_len: int, hop: int,
+               key: str | None = None) -> np.ndarray:
     """Frames of the last axis, (..., n) -> (..., num_frames, frame_len), tail
-    zero-padded. A read-only strided view: copy it before writing."""
+    zero-padded. A read-only strided view of the padded signal (in scratch
+    under key, if given): copy it before writing."""
     n = rows.shape[-1]
     if n == 0:
         raise ValueError("cannot frame an empty buffer")
     if not 0 < hop <= frame_len:
         raise ValueError(f"need 0 < hop <= frame_len, got hop={hop}, frame_len={frame_len}")
     count = num_frames_for(n, frame_len, hop)
-    padded = np.zeros(rows.shape[:-1] + ((count - 1) * hop + frame_len,))
+    padded = _buffer(key, rows.shape[:-1] + ((count - 1) * hop + frame_len,))
     padded[..., :n] = rows
+    padded[..., n:] = 0.0
+    return frame_view(padded, frame_len, hop)
+
+
+def frame_view(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Every frame of the last axis that fits, as a read-only strided view."""
     return np.lib.stride_tricks.sliding_window_view(padded, frame_len, axis=-1)[..., ::hop, :]
 
 
@@ -89,31 +129,54 @@ def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
     return FrameGrid(np.ascontiguousarray(frame_rows(buf.samples, frame_len, hop)), hop)
 
 
-def _analysis_window(name: str, length: int) -> np.ndarray:
+@functools.lru_cache(maxsize=16)
+def analysis_window(name: str, length: int) -> np.ndarray:
+    """The named analysis window, built once per (name, length); read-only."""
     if name == "hann":
         # periodic form, the right one for overlap-add at hop = length/4
-        return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    if name == "rect":
-        return np.ones(length)
-    raise ValueError(f"unknown window {name!r}")
+        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
+    elif name == "rect":
+        win = np.ones(length)
+    else:
+        raise ValueError(f"unknown window {name!r}")
+    win.setflags(write=False)
+    return win
 
 
+@functools.lru_cache(maxsize=16)
 def _crossfade_window(length: int) -> np.ndarray:
     # triangular but strictly positive, so normalized overlap-add is defined
     # at every sample a frame covers
     ramp = np.minimum(np.arange(1, length + 1), np.arange(length, 0, -1))
-    return ramp / ramp.max()
+    win = ramp / ramp.max()
+    win.setflags(write=False)
+    return win
+
+
+def rfft_frames(frames: np.ndarray, fft_len: int, window: np.ndarray,
+                key: str | None = None) -> np.ndarray:
+    """One-sided spectra of the windowed frames (..., frame_len), zero-padded
+    to fft_len: (..., fft_len // 2 + 1)."""
+    windowed = scratch("rfft_frames.windowed", frames.shape)
+    np.multiply(frames, window, out=windowed)
+    out = _buffer(key, frames.shape[:-1] + (fft_len // 2 + 1,), np.complex128)
+    return np.fft.rfft(windowed, n=fft_len, axis=-1, out=out)
+
+
+def check_stft_geometry(fft_len: int, hop: int) -> None:
+    """Raise ValueError unless fft_len is a power of two that hop divides."""
+    if fft_len <= 0 or fft_len & (fft_len - 1):
+        raise ValueError(f"fft_len must be a power of two, got {fft_len}")
+    if fft_len % hop:
+        raise ValueError(f"hop {hop} must divide fft_len {fft_len}")
 
 
 def stft_rows(rows: np.ndarray, fft_len: int = 512, hop: int = 128,
               window: str = "hann") -> np.ndarray:
     """One-sided spectra of every frame of the last axis: (..., frames, bins)."""
-    if fft_len <= 0 or fft_len & (fft_len - 1):
-        raise ValueError(f"fft_len must be a power of two, got {fft_len}")
-    if fft_len % hop:
-        raise ValueError(f"hop {hop} must divide fft_len {fft_len}")
-    frames = frame_rows(rows, fft_len, hop)
-    return np.fft.rfft(frames * _analysis_window(window, fft_len), n=fft_len, axis=-1)
+    check_stft_geometry(fft_len, hop)
+    frames = frame_rows(rows, fft_len, hop, key="stft_rows.grid")
+    return rfft_frames(frames, fft_len, analysis_window(window, fft_len))
 
 
 def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128,
@@ -122,34 +185,57 @@ def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128,
     return Stft(stft_rows(buf.samples, fft_len, hop, window), fft_len, hop, window)
 
 
-def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int,
-                         den_win: np.ndarray) -> np.ndarray:
-    """Overlap-add frames (..., num_frames, frame_len) that already carry
-    their synthesis window, frame m at offset m * hop, and divide each sample
-    by the summed den_win of the grid (0 where that sum vanishes).
-
-    The sum runs as ceil(frame_len / hop) shifted adds of hop-wide pieces
-    over all frames and rows at once. Piece r of frame m lands in block
-    m + r; taking r from last to first adds every sample's frames in
-    increasing m, the order of a frame-by-frame loop, so each row's result
-    is bit-identical to that row overlap-added alone. The output is cut or
-    zero-padded to out_len samples.
-    """
-    num, frame_len = weighted.shape[-2:]
-    pieces = -(-frame_len // hop)
-    blocks = num + pieces - 1
-    acc = np.zeros(weighted.shape[:-2] + (blocks, hop))
-    den = np.zeros((blocks, hop))
-    for r in reversed(range(pieces)):
+def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
+    # Piece r of frame m lands in hop-wide block m + r of the zeroed acc;
+    # taking r from last to first adds every sample's frames in increasing m.
+    num, frame_len = frames.shape[-2:]
+    for r in reversed(range(-(-frame_len // hop))):
         lo = r * hop
         width = min(hop, frame_len - lo)
-        acc[..., r:r + num, :width] += weighted[..., lo:lo + width]
-        den[r:r + num, :width] += den_win[lo:lo + width]
-    total = (num - 1) * hop + frame_len
-    acc = acc.reshape(acc.shape[:-2] + (blocks * hop,))[..., :total]
-    den = den.reshape(-1)[:total]
-    acc /= np.maximum(den, _DENOM_FLOOR)
-    acc[..., den <= _DENOM_FLOOR] = 0.0
+        acc[..., r:r + num, :width] += frames[..., lo:lo + width]
+    return acc.reshape(acc.shape[:-2] + (-1,))[..., :(num - 1) * hop + frame_len]
+
+
+@functools.lru_cache(maxsize=64)
+def _normaliser(weights: str, frame_len: int, hop: int, num: int):
+    """(summed weights floored at _DENOM_FLOOR, samples where the sum
+    vanishes or None) over a grid of num frames; read-only, built once."""
+    if weights == "crossfade":
+        den_win = _crossfade_window(frame_len)
+    else:
+        win = analysis_window(weights, frame_len)
+        den_win = win * win
+    blocks = num - 1 + -(-frame_len // hop)
+    den = _shifted_add(np.zeros((blocks, hop)), np.broadcast_to(den_win, (num, frame_len)), hop)
+    vanishing = den <= _DENOM_FLOOR
+    floored = np.maximum(den, _DENOM_FLOOR)
+    floored.setflags(write=False)
+    return floored, (vanishing if vanishing.any() else None)
+
+
+def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: str,
+                         key: str | None = None) -> np.ndarray:
+    """Overlap-add frames (..., num_frames, frame_len) that already carry
+    their synthesis window, frame m at offset m * hop, and divide each sample
+    by the summed weights of the grid (0 where that sum vanishes).
+
+    weights names the per-frame weighting: "crossfade" for frames weighted
+    by the cross-fade window, or an analysis window whose square weights
+    istft frames. The sum runs as ceil(frame_len / hop) shifted adds of
+    hop-wide pieces over all frames and rows at once, adding every sample's
+    frames in increasing order, as a frame-by-frame loop does, so each row's
+    result is bit-identical to that row overlap-added alone. The output is
+    cut or zero-padded to out_len samples.
+    """
+    num, frame_len = weighted.shape[-2:]
+    acc = _buffer(key, weighted.shape[:-2] + (num - 1 + -(-frame_len // hop), hop))
+    acc.fill(0.0)
+    acc = _shifted_add(acc, weighted, hop)
+    den, vanishing = _normaliser(weights, frame_len, hop, num)
+    acc /= den
+    if vanishing is not None:
+        acc[..., vanishing] = 0.0
+    total = acc.shape[-1]
     if out_len <= total:
         return acc[..., :out_len]
     result = np.zeros(acc.shape[:-1] + (out_len,))
@@ -158,12 +244,12 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int,
 
 
 def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
-               window: str = "hann") -> np.ndarray:
+               window: str = "hann", key: str | None = None) -> np.ndarray:
     """Invert stft_rows: irfft per frame, then normalized overlap-add."""
-    win = _analysis_window(window, fft_len)
-    frames = np.fft.irfft(spectra, n=fft_len, axis=-1)
-    frames *= win
-    return weighted_overlap_add(frames, hop, out_len, win * win)
+    frames = scratch("istft_rows.frames", spectra.shape[:-1] + (fft_len,))
+    np.fft.irfft(spectra, n=fft_len, axis=-1, out=frames)
+    frames *= analysis_window(window, fft_len)
+    return weighted_overlap_add(frames, hop, out_len, window, key)
 
 
 def istft(spec: Stft, out_len: int, sample_rate_hz: int = 16000) -> AudioBuffer:
@@ -172,7 +258,8 @@ def istft(spec: Stft, out_len: int, sample_rate_hz: int = 16000) -> AudioBuffer:
                        sample_rate_hz)
 
 
-def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
+def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int,
+                     key: str | None = None) -> np.ndarray:
     """Rebuild signals from (possibly modified) frames (..., num_frames, frame_len).
 
     Frames are weighted by a strictly positive triangular window and the sum
@@ -180,8 +267,9 @@ def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
     unmodified frames reconstruct the input exactly and zeroed frames
     cross-fade against their neighbors.
     """
-    win = _crossfade_window(frames.shape[-1])
-    return weighted_overlap_add(frames * win, hop, out_len, win)
+    weighted = scratch("overlap_add_rows.weighted", frames.shape)
+    np.multiply(frames, _crossfade_window(frames.shape[-1]), out=weighted)
+    return weighted_overlap_add(weighted, hop, out_len, "crossfade", key)
 
 
 def overlap_add(frames: np.ndarray, hop: int, out_len: int,

@@ -17,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import parallel
 from .audio_io import ensure_rate, read_wav
 from .pipeline import PipelineConfig, run_pipeline
 from .synth import Manifest
@@ -158,9 +159,11 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
     """Score every manifest clip under every config and assemble reports.
 
     Each clip is decoded once and scored under every config, in one task;
-    with jobs > 1 one process pool serves the whole evaluation. The ROC
-    sweep reuses the cached per-clip statistics. Output ordering and file
-    bytes are independent of the worker count.
+    with jobs > 1 one process pool serves the whole evaluation, and each of
+    its workers runs a clip's chunks on its share of the CPUs,
+    max(1, cpus // jobs) threads. The ROC sweep reuses the cached per-clip
+    statistics. Output ordering and file bytes are independent of the
+    worker count.
     """
     if not manifest.entries:
         raise ValueError("manifest has no entries")
@@ -169,7 +172,9 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
     if jobs == 1:
         per_clip = [_evaluate_clip(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        share = max(1, parallel.threads() // jobs)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.set_threads,
+                                 initargs=(share,)) as pool:
             per_clip = list(pool.map(_evaluate_clip, tasks, chunksize=8))
 
     reports = []

@@ -4,8 +4,9 @@ Three named configurations cover the evaluation settings: `baseline` makes
 one decision over the whole clip, `vad1` adds per-segment decisions with
 sliding-window voting, and `vad2` additionally runs the noise-removal
 preprocessing on every segment. A clip's segments travel as one zero-padded
-(T, seg_len) array through pre-processing and scoring; the results are the
-same as running each segment on its own.
+(T, seg_len) array through pre-processing and scoring, split into one
+contiguous chunk of rows per CPU (`parallel.map_chunks`); the results are
+the same as running each segment on its own, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -15,24 +16,26 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import parallel
 from .audio_io import AudioBuffer
 from .aggregate import SegmentScore, decide_segment
 from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
 # preprocess_segment is unused here but kept importable from this module:
 # perfbench/tracing.py wraps each stage function in this namespace.
-from .preprocess import (PreprocessConfig, clip_noise_profile, preprocess_rows,  # noqa: F401
-                         preprocess_segment)
+from .preprocess import (PreprocessConfig, clip_noise_profile,  # noqa: F401
+                         preprocess_rows_scratch, preprocess_segment)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
 
 MODES = ("baseline", "vad1", "vad2")
 SCORER_BACKENDS = ("reference", "score-file")
-# Segments run through pre-processing and scoring this many rows at a time.
-# Rows are independent, so the block size changes no result. At 8 rows each
-# stage's temporaries stay near 1 MB and the allocator reuses them from block
-# to block; whole-clip temporaries (~5 MB each for 40 rows) are mapped and
-# page-faulted afresh on every call, which measured ~20 % slower for vad2
-# (42 vs 34 ms per 8 s clip, median, 2-vCPU Xeon VM).
-ROW_BLOCK = 8
+# Each thread's chunk of rows runs through pre-processing and scoring at most
+# this many rows at a time. Rows are independent, so the block size changes
+# no result. It bounds each stage's temporaries to ~2.3 MB for 200 ms rows at
+# 16 kHz, inside the per-thread scratch store (dsp.SCRATCH_LIMIT_BYTES), so
+# they are reused rather than mapped afresh; an 8 s clip on two CPUs runs as
+# one block per thread. Blocks of 8 rows measured 10-25 % slower per clip
+# (more numpy calls for the same work, 2-vCPU Xeon VM).
+ROW_BLOCK = 20
 
 
 @dataclass(frozen=True)
@@ -87,6 +90,9 @@ def segment_rows(buf: AudioBuffer, segment_ms: float) -> np.ndarray:
     if len(buf) == 0:
         raise ValueError("cannot segment an empty buffer")
     seg_len = int(round(buf.sample_rate_hz * segment_ms / 1000.0))
+    if seg_len < 1:
+        raise ValueError(f"a {segment_ms} ms segment at {buf.sample_rate_hz} Hz "
+                         "holds no whole sample")
     rows = np.zeros((math.ceil(len(buf) / seg_len), seg_len))
     rows.reshape(-1)[: len(buf)] = buf.samples
     return rows
@@ -114,15 +120,23 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig,
         return PipelineResult(decision, (ss,))
 
     rows = segment_rows(buf, cfg.segment_ms)
-    if cfg.preprocess_enabled:
-        noise = clip_noise_profile(buf, cfg.preprocess)
-    scores = []
-    for start in range(0, len(rows), ROW_BLOCK):
-        block = rows[start:start + ROW_BLOCK]
-        if cfg.preprocess_enabled:
-            block = preprocess_rows(block, buf.sample_rate_hz, cfg.preprocess, noise)
-        scores.extend(decide_segment(FrameScoreMatrix(m, scorer.hop_ms), cfg.thresh)
-                      for m in scorer.score_rows(block, buf.sample_rate_hz))
+    rate = buf.sample_rate_hz
+    # Looked up here: the chunks run on pool threads, which must not call
+    # anything a caller may have wrapped.
+    noise = clip_noise_profile(buf, cfg.preprocess) if cfg.preprocess_enabled else None
+    filterbank = scorer.filterbank(rate)
+
+    def score_chunk(start: int, stop: int) -> list[np.ndarray]:
+        matrices = []
+        for lo in range(start, stop, ROW_BLOCK):
+            block = rows[lo:min(lo + ROW_BLOCK, stop)]
+            if noise is not None:
+                block = preprocess_rows_scratch(block, rate, cfg.preprocess, noise)
+            matrices.extend(scorer.score_rows(block, rate, filterbank))
+        return matrices
+
+    scores = [decide_segment(FrameScoreMatrix(m, scorer.hop_ms), cfg.thresh)
+              for chunk in parallel.map_chunks(score_chunk, len(rows)) for m in chunk]
     return _decide([s.label for s in scores], scores, cfg)
 
 

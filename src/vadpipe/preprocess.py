@@ -3,7 +3,8 @@
 Each stage is value-in/value-out, preserves buffer length, and maps silence
 to silence, so stages compose in any order. Every stage runs row by row over
 a (T, n) array of segments (`preprocess_rows`); the AudioBuffer functions
-are its T = 1 case.
+are its T = 1 case. Inside the chain each stage writes its output to the
+thread's scratch store (`dsp.scratch`); the public functions return copies.
 """
 
 from __future__ import annotations
@@ -79,11 +80,12 @@ def estimate_noise(spec: dsp.Stft, k: int) -> NoiseProfile:
     return NoiseProfile(np.abs(spec.frames[:k]).mean(axis=0))
 
 
-def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float):
+def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float, out=None):
     """Per-bin magnitude subtraction: max(|X| - alpha*|N|, beta*|N|)."""
     x_mag = np.asarray(x_mag, dtype=np.float64)
     noise_mag = np.asarray(noise_mag, dtype=np.float64)
-    return np.maximum(x_mag - alpha * noise_mag, beta * noise_mag)
+    diff = np.subtract(x_mag, alpha * noise_mag, out=out)
+    return np.maximum(diff, beta * noise_mag, out=out)
 
 
 def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
@@ -93,23 +95,40 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     noise_mag is one magnitude per bin for all rows; None estimates it per
     row from that row's own leading frames.
     """
-    n = rows.shape[1]
+    fft_len, hop = cfg.fft_len, cfg.fft_hop
+    dsp.check_stft_geometry(fft_len, hop)
+    t, n = rows.shape
     if noise_mag is None:
-        spec = dsp.stft_rows(rows, cfg.fft_len, cfg.fft_hop)
+        spec = dsp.stft_rows(rows, fft_len, hop)
         k = min(cfg.noise_frames, spec.shape[1])
         noise_mag = np.abs(spec[:, :k]).mean(axis=1, keepdims=True)
-    pad = min(cfg.fft_len, n - 1)
-    padded = np.pad(rows, ((0, 0), (pad, pad)), mode="reflect") if pad else rows
-    spec = dsp.stft_rows(padded, cfg.fft_len, cfg.fft_hop)
-    mag = np.abs(spec)
-    clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta)
+    # Reflect-pad by pad samples on each side. Frames of the padded grid that
+    # lie wholly inside the padding reach no kept sample and are skipped;
+    # the kept samples' frames, and their order, are the full grid's.
+    pad = min(fft_len, n - 1)
+    length = n + 2 * pad
+    first = max(0, (pad - fft_len) // hop + 1)
+    stop = min(dsp.num_frames_for(length, fft_len, hop), -(-(pad + n) // hop))
+    start = first * hop
+    span = (stop - first - 1) * hop + fft_len
+    padded = dsp.scratch("spectral_subtract.padded", (t, max(length, start + span)))
+    padded[:, :pad] = rows[:, pad:0:-1]
+    padded[:, pad:pad + n] = rows
+    padded[:, pad + n:length] = rows[:, n - 1 - pad:n - 1][:, ::-1]
+    padded[:, length:] = 0.0
+    frames = dsp.frame_view(padded[:, start:start + span], fft_len, hop)
+    spec = dsp.rfft_frames(frames, fft_len, dsp.analysis_window("hann", fft_len),
+                           key="spectral_subtract.spectra")
+    mag = np.abs(spec, out=dsp.scratch("spectral_subtract.mag", spec.shape))
+    clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta,
+                               out=dsp.scratch("spectral_subtract.clean", spec.shape))
     # X * clean/|X| keeps the noisy phase; a zero bin has phase 0, so it
     # becomes the real value clean.
     zero = mag == 0.0
     spec *= np.divide(clean, mag, out=mag, where=~zero)
     np.copyto(spec, clean, where=zero)
-    out = dsp.istft_rows(spec, cfg.fft_len, cfg.fft_hop, padded.shape[1])
-    return out[:, pad:pad + n]
+    out = dsp.istft_rows(spec, fft_len, hop, pad - start + n, key="spectral_subtract.out")
+    return out[:, pad - start:]
 
 
 def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
@@ -123,7 +142,7 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     amplified by the tiny overlap-add weights there.
     """
     noise_mag = None if noise is None else noise.magnitude_spectrum
-    return AudioBuffer(_spectral_subtract(buf.samples[None], cfg, noise_mag)[0],
+    return AudioBuffer(_spectral_subtract(buf.samples[None], cfg, noise_mag)[0].copy(),
                        buf.sample_rate_hz)
 
 
@@ -133,29 +152,33 @@ def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int,
         frame_len = int(round(sample_rate_hz * cfg.gate_frame_ms / 1000.0))
     if hop is None:
         hop = int(round(sample_rate_hz * cfg.gate_hop_ms / 1000.0))
-    frames = dsp.frame_rows(rows, frame_len, hop)
-    energies = np.sum(frames ** 2, axis=-1)
+    frames = dsp.frame_rows(rows, frame_len, hop, key="energy_gate.grid")
+    gated = dsp.scratch("energy_gate.frames", frames.shape)
+    energies = np.square(frames, out=gated).sum(axis=-1)
     theta = cfg.theta
     if cfg.theta_relative:  # a fraction of each row's own mean frame energy
         theta = theta * energies.mean(axis=-1, keepdims=True)
-    gated = np.where((energies >= theta)[..., None], frames, 0.0)
-    return dsp.overlap_add_rows(gated, hop, rows.shape[-1])
+    np.copyto(gated, frames)
+    gated[~(energies >= theta)] = 0.0
+    return dsp.overlap_add_rows(gated, hop, rows.shape[-1], key="energy_gate.out")
 
 
 def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig,
                 frame_len: int | None = None, hop: int | None = None) -> AudioBuffer:
     """Zero frames whose energy falls below the threshold, then overlap-add."""
-    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz, frame_len, hop),
+    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz, frame_len, hop).copy(),
                        buf.sample_rate_hz)
 
 
 def _rms_normalize(rows: np.ndarray, target: float) -> np.ndarray:
     # Rows below the silence floor get scale 1; their samples are far inside
     # [-1, 1], so the clip leaves them as they are.
-    rms = np.sqrt(np.mean(rows ** 2, axis=-1, keepdims=True))
+    squares = np.square(rows, out=dsp.scratch("rms_normalize.squares", rows.shape))
+    rms = np.sqrt(np.mean(squares, axis=-1, keepdims=True))
     scale = np.where(rms < SILENCE_RMS_FLOOR, 1.0,
                      target / np.maximum(rms, SILENCE_RMS_FLOOR))
-    return np.clip(rows * scale, -1.0, 1.0)
+    out = np.multiply(rows, scale, out=dsp.scratch("rms_normalize.out", rows.shape))
+    return np.clip(out, -1.0, 1.0, out=out)
 
 
 def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
@@ -166,7 +189,7 @@ def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
     """
     if target <= 0.0:
         raise ValueError(f"target must be positive, got {target}")
-    return AudioBuffer(_rms_normalize(buf.samples, target), buf.sample_rate_hz)
+    return AudioBuffer(_rms_normalize(buf.samples, target).copy(), buf.sample_rate_hz)
 
 
 def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
@@ -190,6 +213,13 @@ def preprocess_rows(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig
     `noise` feeds the spectral-subtraction stage; when omitted, each row
     estimates from its own leading frames.
     """
+    return np.array(preprocess_rows_scratch(rows, sample_rate_hz, cfg, noise))
+
+
+def preprocess_rows_scratch(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
+                            noise: NoiseProfile | None = None) -> np.ndarray:
+    """preprocess_rows, leaving the result in this thread's scratch store:
+    it is valid until the thread's next pre-processing call."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +71,19 @@ class TestDetectCommand:
         missing = tmp_path / "nope.wav"
         assert main(["detect", "--mode", "vad1", str(missing)]) == 1
         assert "nope.wav" in capsys.readouterr().err
+
+    def test_segment_below_one_sample_fails_clip(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        write_wav(make_buffer(np.zeros(1600)), wav)
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "vadpipe.cli", "detect", "--mode", "vad1",
+             "--segment-ms", "0.01", str(wav)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {wav}: ") and "no whole sample" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_lines_output(self, tmp_path, capsys):
         wav = tmp_path / "s.wav"

@@ -1,0 +1,336 @@
+"""run_pipeline's per-CPU chunks and the per-thread scratch store.
+
+A clip's rows (or, for the baseline, its frames) run as one chunk per
+thread. The outcome must not depend on the thread count, pool threads must
+not call anything perfbench's tracer wraps, a forked process must run its
+chunks on a pool of its own, and no result may share memory with scratch.
+"""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from vadpipe import dsp, evaluate, parallel, pipeline, preprocess, scorer
+from vadpipe.audio_io import AudioBuffer
+from vadpipe.pipeline import MODES, PipelineConfig, run_pipeline, segment_rows
+from vadpipe.preprocess import PreprocessConfig, clip_noise_profile
+from vadpipe.synth import generate_corpus, mix_at_snr, speech_surrogate, white_noise
+
+from conftest import SR
+
+ROOT = Path(__file__).resolve().parent.parent
+THRESH = 45.9
+
+
+@pytest.fixture(autouse=True)
+def reset_threads():
+    yield
+    parallel.set_threads(None)
+
+
+def noisy(samples: int, rate: int = SR, seed: int = 2) -> AudioBuffer:
+    rng = np.random.default_rng(seed)
+    seconds = max(samples / rate, 0.5)
+    mix = mix_at_snr(speech_surrogate(rng, seconds, rate), white_noise(rng, seconds, rate), 5.0)
+    return AudioBuffer(mix.samples[:samples], rate)
+
+
+def outcome(result) -> tuple:
+    d = result.decision
+    return result.segment_values, d.per_segment, d.per_window, d.final
+
+
+CLIPS = {
+    "fewer_rows_than_threads": lambda: noisy(3 * 3200 - 17),
+    "one_row": lambda: noisy(3200),
+    "shorter_than_one_segment": lambda: noisy(2080),
+    # 1 + ceil((80720 - 400) / 160) = 503 baseline frames, a prime: chunks
+    # of at least scorer.MIN_CHUNK_FRAMES for each thread count tried
+    "uneven_baseline_frames": lambda: noisy(80720),
+    "many_rows": lambda: noisy(int(4.13 * SR)),
+    "48_khz": lambda: noisy(int(1.7 * 48000), rate=48000),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("clip", sorted(CLIPS))
+def test_outcome_independent_of_thread_count(clip, mode):
+    buf = CLIPS[clip]()
+    cfg = PipelineConfig(mode=mode, thresh=THRESH)
+    parallel.set_threads(1)
+    want = outcome(run_pipeline(buf, cfg))
+    for count in (2, 3, 5):
+        parallel.set_threads(count)
+        assert outcome(run_pipeline(buf, cfg)) == want, count
+
+
+def test_chunk_bounds_cover_in_order():
+    for count in range(1, 30):
+        for parts in range(1, count + 1):
+            bounds = parallel.chunk_bounds(count, parts)
+            assert [b for b in bounds if b[1] > b[0]] == bounds
+            assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(count))
+            sizes = {hi - lo for lo, hi in bounds}
+            assert max(sizes) - min(sizes) <= 1
+
+
+def test_map_chunks_joins_in_order_and_propagates_errors():
+    parallel.set_threads(3)
+    assert list(parallel.map_chunks(lambda lo, hi: (lo, hi), 7)) == [(0, 2), (2, 4), (4, 7)]
+    assert parallel.map_chunks(lambda lo, hi: (lo, hi), 0) == [(0, 0)]
+    assert parallel.map_chunks(lambda lo, hi: (lo, hi), 7, min_chunk=3) == [(0, 3), (3, 7)]
+    assert parallel.map_chunks(lambda lo, hi: (lo, hi), 7, min_chunk=8) == [(0, 7)]
+
+    def fail_late(lo, hi):
+        if lo > 0:
+            raise RuntimeError("chunk failed")
+        return lo
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        parallel.map_chunks(fail_late, 9)
+
+
+def test_concurrent_callers_get_their_own_results():
+    # More callers than CPUs, each chunking over a shared pool that a larger
+    # thread count replaces midway, with the interpreter switching threads
+    # often: a scratch array shared across threads, or a chunk joined to the
+    # wrong call, changes some caller's values.
+    clips = [noisy(int(sec * SR), seed=i) for i, sec in enumerate((2.9, 1.3, 4.1))]
+    cfgs = [PipelineConfig(mode=m, thresh=THRESH) for m in MODES]
+    jobs = [(clip, cfg) for clip in clips for cfg in cfgs] * 3
+    parallel.set_threads(1)
+    want = [outcome(run_pipeline(clip, cfg)) for clip, cfg in jobs]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=5) as callers:
+            parallel.set_threads(2)
+            futures = [callers.submit(lambda job=job: outcome(run_pipeline(*job))) for job in jobs]
+            parallel.set_threads(4)
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == want
+
+
+def test_threads_follow_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert parallel.usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 6)
+    assert parallel.threads() == 6
+    parallel.set_threads(2)
+    assert parallel.threads() == 2
+
+
+# ---------------------------------------------------------------------------
+# pool threads call nothing the tracer wraps
+
+def _tracer_patches():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import tracing
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    return tracing.PATCHES + tracing.MODE_PATCHES
+
+
+def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
+    import importlib
+
+    calls: dict[str, set] = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.setdefault(name, set()).add(threading.get_ident())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module, attr, name in _tracer_patches():
+        owner = importlib.import_module(module)
+        monkeypatch.setattr(owner, attr, recording(name, getattr(owner, attr)))
+    monkeypatch.setattr(scorer.ReferenceScorer, "score",
+                        recording("scorer.score", scorer.ReferenceScorer.score))
+    monkeypatch.setattr(dsp, "stft", recording("dsp.stft", dsp.stft))
+
+    parallel.set_threads(2)
+    buf = noisy(int(2.3 * SR))
+    for mode in MODES:
+        pipeline.run_pipeline(buf, PipelineConfig(mode=mode, thresh=THRESH))
+    manifest = generate_corpus(tmp_path, (1, 1, 1), (5.0,), seed=3, duration_s=1.0,
+                               write_stems=False)
+    evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])
+
+    assert {"scorer.mel_filterbank", "scorer.score", "aggregate.decide_segment",
+            "preprocess.clip_noise_profile", "dsp.stft", "pipeline.run_pipeline"} <= set(calls)
+    main = threading.get_ident()
+    assert {name: ids for name, ids in calls.items() if ids != {main}} == {}
+
+
+# ---------------------------------------------------------------------------
+# eval worker processes
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="reads the worker budget through a function patched before fork")
+@pytest.mark.parametrize("jobs,share", [(2, 4), (3, 2), (5, 1)])
+def test_eval_workers_get_their_share_of_the_cpus(monkeypatch, tmp_path, jobs, share):
+    manifest = generate_corpus(tmp_path, (1, 0, 1), (5.0,), seed=3, duration_s=0.5,
+                               write_stems=False)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+
+    def report_budget(path):
+        raise RuntimeError(f"threads={parallel.threads()} pid={os.getpid()}")
+
+    monkeypatch.setattr(evaluate, "read_wav", report_budget)
+    (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=jobs)
+    assert len(report.errors) == 2
+    assert all(f"RuntimeError: threads={share} " in e for e in report.errors)
+    assert all(f"pid={os.getpid()}" not in e for e in report.errors)
+
+
+FORK_SCRIPT = textwrap.dedent("""
+    import sys
+    from vadpipe import evaluate, parallel
+    from vadpipe.audio_io import ensure_rate, read_wav
+    from vadpipe.pipeline import MODES, PipelineConfig, run_pipeline
+    from vadpipe.synth import generate_corpus
+
+    # Four CPUs: each of two eval workers, forked after the pool exists,
+    # then runs two threads.
+    parallel.usable_cpus = lambda: 4
+    manifest = generate_corpus(sys.argv[1], (1, 2, 1), (5.0,), seed=5, duration_s=1.0,
+                               write_stems=False)
+    cfgs = [PipelineConfig(mode=m, thresh=45.9) for m in MODES]
+    run_pipeline(ensure_rate(read_wav(manifest.resolve(manifest.entries[0]))), cfgs[2])
+    assert parallel._pool is not None
+    pooled = evaluate.run_eval(manifest, cfgs, jobs=2)
+    assert pooled == evaluate.run_eval(manifest, cfgs, jobs=1)
+    assert all(r.num_clips == 4 and not r.errors for r in pooled)
+    print("same")
+""")
+
+
+def _chunk_threads(conn):
+    caller = threading.get_ident()
+
+    def on_caller(lo, hi):
+        if lo == 0:  # a pool thread has time to start the other chunk
+            time.sleep(0.5)
+        return threading.get_ident() == caller
+
+    conn.send(parallel.map_chunks(on_caller, 2))
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_forked_child_runs_chunks_on_a_pool_of_its_own():
+    # The inherited pool object has no threads in the child: a chunk
+    # submitted to it never starts, and the caller would end up running it.
+    parallel.set_threads(2)
+    parallel.map_chunks(lambda lo, hi: time.sleep(0.05), 2)
+    assert parallel._pool is not None
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_chunk_threads, args=(sender,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("forked child did not finish in 60 s")
+    assert receiver.poll(0) and receiver.recv() == [True, False]
+
+
+def test_eval_pool_after_threads_exist_does_not_hang(tmp_path):
+    # Its own session, so that a hang can be ended with its eval workers.
+    proc = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT, str(tmp_path)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("run_eval(jobs=2) after the pool existed did not finish in 180 s")
+    assert proc.returncode == 0, err
+    assert out.strip() == "same"
+
+
+# ---------------------------------------------------------------------------
+# results never alias the scratch store
+
+def _scratch_buffers():
+    return list(vars(dsp._scratch).values())
+
+
+def _public_results(x: np.ndarray, rows: np.ndarray) -> dict:
+    buf = AudioBuffer(x, SR)
+    cfg = PreprocessConfig()
+    noise = clip_noise_profile(buf, cfg)
+    spec = dsp.stft_rows(rows, 512, 128)
+    sc = scorer.ReferenceScorer()
+    return {
+        "frame_rows": dsp.frame_rows(rows, 400, 160),
+        "frame_signal": dsp.frame_signal(buf, 400, 400).frames,
+        "stft_rows": spec,
+        "stft": dsp.stft(buf).frames,
+        "istft_rows": dsp.istft_rows(spec, 512, 128, rows.shape[1]),
+        "istft": dsp.istft(dsp.stft(buf), len(x)).samples,
+        "overlap_add_rows": dsp.overlap_add_rows(dsp.frame_rows(rows, 400, 160), 160,
+                                                 rows.shape[1]),
+        "overlap_add": dsp.overlap_add(dsp.frame_signal(buf, 400, 160).frames, 160,
+                                       len(x)).samples,
+        "spectral_subtract": preprocess.spectral_subtract(buf, cfg, noise).samples,
+        "energy_gate": preprocess.energy_gate(buf, cfg).samples,
+        "rms_normalize": preprocess.rms_normalize(buf, 0.1).samples,
+        "preprocess_rows": preprocess.preprocess_rows(rows, SR, cfg, noise),
+        "preprocess_segment": preprocess.preprocess_segment(buf, cfg, noise).samples,
+        "score": sc.score(buf).scores,
+        "score_rows": sc.score_rows(rows, SR),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_results_do_not_share_memory_with_scratch(threads):
+    parallel.set_threads(threads)
+    first_clip = noisy(int(1.3 * SR), seed=4)
+    second_clip = noisy(int(1.3 * SR), seed=9)
+    cfgs = [PipelineConfig(mode=m, thresh=THRESH) for m in MODES]
+    first = _public_results(first_clip.samples, segment_rows(first_clip, 200.0))
+    kept = {name: np.array(a) for name, a in first.items()}
+    pipe_first = [run_pipeline(first_clip, c) for c in cfgs]
+    pipe_kept = [outcome(r) for r in pipe_first]
+
+    assert _scratch_buffers(), "the calling thread's scratch store is empty"
+    for name, result in first.items():
+        for buf in _scratch_buffers():
+            assert not np.shares_memory(result, buf), name
+
+    _public_results(second_clip.samples, segment_rows(second_clip, 200.0))
+    for c in cfgs:
+        run_pipeline(second_clip, c)
+    for name, result in first.items():
+        assert np.array_equal(result, kept[name]), name
+    assert [outcome(r) for r in pipe_first] == pipe_kept
+
+
+def test_scratch_keeps_small_requests_only():
+    small = dsp.scratch("test.small", (4, 8))
+    assert np.shares_memory(small, dsp.scratch("test.small", (8, 4)))
+    assert np.shares_memory(small, dsp.scratch("test.small", (3,)))
+    grown = dsp.scratch("test.small", (16, 16))
+    assert grown.shape == (16, 16)
+    assert np.shares_memory(grown, dsp.scratch("test.small", (4, 8)))
+    count = dsp.SCRATCH_LIMIT_BYTES // 8 + 1
+    large = dsp.scratch("test.large", (count,))
+    assert not np.shares_memory(large, dsp.scratch("test.large", (count,)))
+    assert "test.large" not in vars(dsp._scratch)

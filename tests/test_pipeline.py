@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vadpipe.pipeline import (PipelineConfig, run_pipeline, run_pipeline_on_scores,
-                              segment)
+                              segment, segment_rows)
 from vadpipe.scorer import FrameScoreMatrix
 from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
 
@@ -36,6 +36,13 @@ class TestSegment:
         from vadpipe.audio_io import AudioBuffer
         with pytest.raises(ValueError):
             segment(AudioBuffer(np.zeros(0), 16000), 200.0)
+
+    @pytest.mark.parametrize("segment_ms", [0.01, 0.03])
+    def test_segment_shorter_than_a_sample_rejected(self, segment_ms):
+        # 0.03 ms at 16 kHz rounds to 0 samples, 0.04 ms to 1
+        with pytest.raises(ValueError, match="no whole sample"):
+            segment_rows(make_buffer(np.ones(1000)), segment_ms)
+        assert segment_rows(make_buffer(np.ones(10)), 0.04).shape == (10, 1)
 
 
 class TestRunPipeline:

@@ -91,6 +91,32 @@ class TestSpectralSubtract:
         out = spectral_subtract(make_buffer(noise), PreprocessConfig())
         assert np.mean(out.samples ** 2) < 0.5 * np.mean(noise ** 2)
 
+    @pytest.mark.parametrize("n", [3200, 3000, 700, 513, 512, 100, 2, 1])
+    def test_skipped_padding_frames_change_nothing(self, rng, n, monkeypatch):
+        # Reference: the whole reflect-padded grid through the public STFT
+        # pair, the path before frames inside the padding were skipped.
+        samples = rng.standard_normal(n) * 0.2
+        cfg = PreprocessConfig()
+        noise = clip_noise_profile(make_buffer(rng.standard_normal(4000) * 0.1), cfg)
+        pad = min(cfg.fft_len, n - 1)
+        padded = np.pad(samples, pad, mode="reflect") if pad else samples
+        spec = dsp.stft_rows(padded, cfg.fft_len, cfg.fft_hop)
+        mag = np.abs(spec)
+        clean = subtract_magnitude(mag, cfg.alpha, noise.magnitude_spectrum, cfg.beta)
+        zero = mag == 0.0
+        spec *= np.divide(clean, mag, out=mag, where=~zero)
+        np.copyto(spec, clean, where=zero)
+        want = dsp.istft_rows(spec, cfg.fft_len, cfg.fft_hop, len(padded))[pad:pad + n]
+
+        transformed = []
+        rfft_frames = dsp.rfft_frames
+        monkeypatch.setattr(dsp, "rfft_frames", lambda frames, *a, **k: (
+            transformed.append(frames.shape[-2]) or rfft_frames(frames, *a, **k)))
+        got = spectral_subtract(make_buffer(samples), cfg, noise=noise).samples
+        assert np.array_equal(got, want)
+        if n == 3200:  # 30 frames on the padded grid, the first and last all padding
+            assert spec.shape[0] == 30 and transformed == [28]
+
     def test_clip_noise_profile_matches_leading_frames(self, rng):
         buf = make_buffer(rng.standard_normal(16000) * 0.1)
         cfg = PreprocessConfig()
