@@ -18,18 +18,55 @@ from pathlib import Path
 
 from .audio_io import ensure_rate, read_wav
 from .evaluate import accuracy_table_markdown, run_eval
-from .pipeline import MODES, PipelineConfig, run_pipeline, run_pipeline_on_scores
+from .pipeline import PipelineConfig, run_pipeline, run_pipeline_on_scores
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
 from .scorer import load_scores
 from .synth import DEFAULT_SNRS_DB, generate_corpus, read_manifest
 
-# every config-file key has a same-named CLI flag (dashes for underscores)
-CONFIG_KEYS = (
-    "mode", "segment_ms", "thresh", "window", "quorum", "alpha", "beta",
-    "theta_rel", "theta_abs", "target_rms", "noise_frames", "stages",
-    "bands", "frame_ms", "hop_ms", "scorer",
-)
+
+def _show_float(x: float) -> str:
+    """Shortest of `:g` and repr that reads back as exactly x."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
+def _parse_stages(text: str) -> tuple[str, ...]:
+    if text.lower() == "none":
+        return ()
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# (parse the text, show the value)
+_STR = (str, str)
+_INT = (int, str)
+_FLOAT = (float, _show_float)
+_QUORUM = (lambda text: None if text in ("", "default") else int(text), str)
+_STAGES = (_parse_stages, lambda stages: ",".join(stages) or "none")
+
+# Config key -> (PipelineConfig section, "" for its own fields; field; codec).
+# Every key has a same-named CLI flag (dashes for underscores). Unset keys
+# take the dataclasses' defaults. theta_rel and theta_abs both set theta;
+# theta_abs wins and makes it absolute.
+CONFIG_FIELDS = {
+    "mode": ("", "mode", _STR),
+    "segment_ms": ("", "segment_ms", _FLOAT),
+    "thresh": ("", "thresh", _FLOAT),
+    "window": ("vote", "window_w", _INT),
+    "quorum": ("vote", "quorum", _QUORUM),
+    "alpha": ("preprocess", "alpha", _FLOAT),
+    "beta": ("preprocess", "beta", _FLOAT),
+    "theta_rel": ("preprocess", "theta", _FLOAT),
+    "theta_abs": ("preprocess", "theta", _FLOAT),
+    "target_rms": ("preprocess", "target_rms", _FLOAT),
+    "noise_frames": ("preprocess", "noise_frames", _INT),
+    "stages": ("preprocess", "stages", _STAGES),
+    "bands": ("", "bands", _INT),
+    "frame_ms": ("", "frame_ms", _FLOAT),
+    "hop_ms": ("", "hop_ms", _FLOAT),
+    "scorer": ("", "scorer_backend", _STR),
+}
+CONFIG_KEYS = tuple(CONFIG_FIELDS)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -49,66 +86,26 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
     """Construct a PipelineConfig from merged string settings."""
-    def get(key, cast, default):
-        return cast(values[key]) if key in values else default
-
+    fields: dict[str, dict] = {"": {}, "preprocess": {}, "vote": {}}
+    for key, (section, name, (parse, _)) in CONFIG_FIELDS.items():
+        if key in values:
+            fields[section][name] = parse(values[key])
     if "theta_abs" in values:
-        theta, theta_relative = float(values["theta_abs"]), False
-    else:
-        theta, theta_relative = get("theta_rel", float, 0.1), True
-
-    stages_raw = values.get("stages", "spectral_subtract,energy_gate,rms_normalize")
-    stages = tuple(s.strip() for s in stages_raw.split(",") if s.strip()) \
-        if stages_raw.lower() != "none" else ()
-
-    pre = PreprocessConfig(
-        alpha=get("alpha", float, 1.5),
-        beta=get("beta", float, 0.3),
-        theta=theta,
-        theta_relative=theta_relative,
-        target_rms=get("target_rms", float, 0.1),
-        noise_frames=get("noise_frames", int, 6),
-        stages=stages,
-    )
-    quorum_raw = values.get("quorum")
-    vote = VoteConfig(
-        window_w=get("window", int, 4),
-        quorum=None if quorum_raw in (None, "", "default") else int(quorum_raw),
-    )
-    return PipelineConfig(
-        mode=values.get("mode", "baseline"),
-        segment_ms=get("segment_ms", float, 200.0),
-        thresh=get("thresh", float, 50.0),
-        preprocess=pre,
-        vote=vote,
-        scorer_backend=values.get("scorer", "reference"),
-        bands=get("bands", int, 32),
-        frame_ms=get("frame_ms", float, 25.0),
-        hop_ms=get("hop_ms", float, 10.0),
-    )
+        fields["preprocess"]["theta_relative"] = False
+    return PipelineConfig(preprocess=PreprocessConfig(**fields["preprocess"]),
+                          vote=VoteConfig(**fields["vote"]), **fields[""])
 
 
 def format_config(cfg: PipelineConfig) -> str:
     """Effective settings, re-ingestable via parse_config_file."""
-    theta_key = "theta_rel" if cfg.preprocess.theta_relative else "theta_abs"
-    pairs = [
-        ("mode", cfg.mode),
-        ("segment_ms", f"{cfg.segment_ms:g}"),
-        ("thresh", f"{cfg.thresh:g}"),
-        ("window", str(cfg.vote.window_w)),
-        ("quorum", str(cfg.vote.effective_quorum)),
-        ("alpha", f"{cfg.preprocess.alpha:g}"),
-        ("beta", f"{cfg.preprocess.beta:g}"),
-        (theta_key, f"{cfg.preprocess.theta:g}"),
-        ("target_rms", f"{cfg.preprocess.target_rms:g}"),
-        ("noise_frames", str(cfg.preprocess.noise_frames)),
-        ("stages", ",".join(cfg.preprocess.stages) if cfg.preprocess.stages else "none"),
-        ("bands", str(cfg.bands)),
-        ("frame_ms", f"{cfg.frame_ms:g}"),
-        ("hop_ms", f"{cfg.hop_ms:g}"),
-        ("scorer", cfg.scorer_backend),
-    ]
-    return "\n".join(f"{k} = {v}" for k, v in pairs) + "\n"
+    lines = []
+    for key, (section, name, (_, show)) in CONFIG_FIELDS.items():
+        owner = getattr(cfg, section) if section else cfg
+        if key.startswith("theta_") and (key == "theta_rel") != owner.theta_relative:
+            continue
+        value = owner.effective_quorum if key == "quorum" else getattr(owner, name)
+        lines.append(f"{key} = {show(value)}\n")
+    return "".join(lines)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,16 +140,6 @@ def _resolve_pipeline(args, parser) -> PipelineConfig | None:
     if getattr(args, "require_mode", False) and "mode" not in values:
         parser.error("--mode is required (baseline, vad1, or vad2)")
     return cfg
-
-
-def _parse_modes(spec: str, parser) -> list[str]:
-    modes = [m.strip() for m in spec.split(",") if m.strip()]
-    for m in modes:
-        if m not in MODES:
-            parser.error(f"unknown mode {m!r}; choose from {', '.join(MODES)}")
-    if not modes:
-        parser.error("no modes given")
-    return modes
 
 
 # ---------------------------------------------------------------------------
@@ -221,33 +208,32 @@ def cmd_detect(args, parser) -> int:
     return 1 if failed else 0
 
 
-def _run_reports(args, parser):
+def cmd_report(args, parser) -> int:
+    """eval and roc: evaluate every mode over a manifest, then print
+    args.report's view of the reports."""
     cfg = _resolve_pipeline(args, parser)
     if cfg is None:
-        return None
-    modes = _parse_modes(args.modes, parser)
+        return 0
+    modes = [m.strip() for m in args.modes.split(",") if m.strip()]
+    if not modes:
+        parser.error("no modes given")
     try:
+        configs = [cfg.with_mode(m) for m in modes]
         manifest = read_manifest(args.manifest)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
-    if not manifest.entries:
-        parser.error(f"{args.manifest}: empty manifest")
-    configs = [cfg.with_mode(m) for m in modes]
-    targets = (args.target_tpr,) if hasattr(args, "target_tpr") else (0.99,)
     try:
-        return run_eval(manifest, configs, out_dir=args.out, jobs=args.jobs,
-                        tpr_targets=targets)
+        reports = run_eval(manifest, configs, out_dir=args.out, jobs=args.jobs,
+                           tpr_targets=(args.target_tpr,))
+    except ValueError as exc:
+        parser.error(str(exc))
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return []
-
-
-def cmd_eval(args, parser) -> int:
-    reports = _run_reports(args, parser)
-    if reports is None:
-        return 0
-    if not reports:
         return 1
+    return args.report(reports, args)
+
+
+def _print_eval(reports, args) -> int:
     sys.stdout.write(accuracy_table_markdown(reports))
     for report in reports:
         if report.roc is not None:
@@ -258,12 +244,7 @@ def cmd_eval(args, parser) -> int:
     return 1 if any(r.errors for r in reports) else 0
 
 
-def cmd_roc(args, parser) -> int:
-    reports = _run_reports(args, parser)
-    if reports is None:
-        return 0
-    if not reports:
-        return 1
+def _print_roc(reports, args) -> int:
     for report in reports:
         if report.roc is None:
             print(f"error: {report.mode}: ROC needs both classes", file=sys.stderr)
@@ -303,23 +284,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_detect)
     p_detect.set_defaults(func=cmd_detect, require_mode=True)
 
-    p_eval = sub.add_parser("eval", help="per-class accuracy tables and ROC curves")
-    p_eval.add_argument("--manifest", required=True)
-    p_eval.add_argument("--modes", default="baseline,vad1,vad2")
-    p_eval.add_argument("--out", help="directory for accuracy.md and roc_<mode>.csv")
-    p_eval.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_eval.add_argument("--target-tpr", type=float, default=0.99)
-    _add_config_flags(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
-    p_roc = sub.add_parser("roc", help="FPR at a target TPR per mode")
-    p_roc.add_argument("--manifest", required=True)
-    p_roc.add_argument("--modes", default="baseline,vad1,vad2")
-    p_roc.add_argument("--target-tpr", type=float, default=0.99)
-    p_roc.add_argument("--out", default=None, help="directory for ROC CSVs")
-    p_roc.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    _add_config_flags(p_roc)
-    p_roc.set_defaults(func=cmd_roc)
+    for name, report, help_text in (
+            ("eval", _print_eval, "per-class accuracy tables and ROC curves"),
+            ("roc", _print_roc, "FPR at a target TPR per mode")):
+        p_report = sub.add_parser(name, help=help_text)
+        p_report.add_argument("--manifest", required=True)
+        p_report.add_argument("--modes", default="baseline,vad1,vad2")
+        p_report.add_argument("--out", help="directory for accuracy.md and roc_<mode>.csv")
+        p_report.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p_report.add_argument("--target-tpr", type=float, default=0.99)
+        _add_config_flags(p_report)
+        p_report.set_defaults(func=cmd_report, report=report)
 
     return parser
 

@@ -2,9 +2,8 @@
 
 Accuracy is reported per class (clean speech / noisy speech / non-speech).
 For ROC analysis, both speech classes collapse into one positive class and
-the sweep runs over a continuous per-clip statistic: the whole-clip
-aggregate for the baseline, or the best sliding-window mean of segment
-scores for the voting modes.
+the sweep runs over a continuous per-clip statistic, the one the vote
+thresholds (`postprocess.vote_statistic`).
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ import numpy as np
 from . import parallel
 from .audio_io import ensure_rate, read_wav
 from .pipeline import PipelineConfig, run_pipeline
+from .postprocess import vote_statistic
 from .synth import Manifest
 
 SPEECH_LABELS = ("clean_speech", "noisy_speech")
@@ -108,23 +108,13 @@ def fpr_at_tpr(curve: RocCurve, target_tpr: float) -> float:
 
 
 def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> float:
-    """Continuous per-clip score the ROC threshold sweeps over.
-
-    For the voting modes this is the best quorum-th-largest segment score
-    over all windows, which is exactly the statistic the vote thresholds:
-    the pipeline's final label at threshold t equals (statistic >= t) for
-    every t. A windowed mean would instead credit operating points a
-    majority vote can never reach (one loud segment lifting a window).
+    """Continuous per-clip score the ROC threshold sweeps over: the vote
+    statistic, so the pipeline's final label at threshold t equals
+    (statistic >= t) for every t. For the baseline's one value it is that
+    value. A windowed mean would instead credit operating points a majority
+    vote can never reach (one loud segment lifting a window).
     """
-    if not cfg.vote_enabled:
-        return segment_values[0]
-    w = cfg.vote.window_w
-    q = cfg.vote.effective_quorum
-    if len(segment_values) < w:
-        q = max(1, math.ceil(q * len(segment_values) / w))
-        return sorted(segment_values)[-q]
-    return max(sorted(segment_values[t:t + w])[-q]
-               for t in range(len(segment_values) - w + 1))
+    return vote_statistic(segment_values, cfg.vote)
 
 
 def _evaluate_clip(task: tuple[str, Sequence[PipelineConfig]]) -> list[tuple]:
@@ -167,7 +157,12 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
     """
     if not manifest.entries:
         raise ValueError("manifest has no entries")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = list(configs)
+    if any(cfg.scorer_backend != "reference" for cfg in configs):
+        raise ValueError("score files apply to detect only; eval scores WAVs "
+                         "with the reference scorer")
     tasks = [(str(manifest.resolve(e)), configs) for e in manifest.entries]
     if jobs == 1:
         per_clip = [_evaluate_clip(t) for t in tasks]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fall
 # preprocess_segment is unused here but kept importable from this module:
 # perfbench/tracing.py wraps each stage function in this namespace.
 from .preprocess import (PreprocessConfig, clip_noise_profile,  # noqa: F401
-                         preprocess_rows_scratch, preprocess_segment)
+                         preprocess_rows_scratch, preprocess_segment, require_finite)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
 
 MODES = ("baseline", "vad1", "vad2")
@@ -51,6 +52,7 @@ class PipelineConfig:
     hop_ms: float = 10.0
 
     def __post_init__(self):
+        require_finite(self, ("segment_ms", "thresh", "frame_ms", "hop_ms"))
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scorer_backend not in SCORER_BACKENDS:
@@ -103,21 +105,22 @@ def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
     return [AudioBuffer(row, buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
 
 
-def _decide(labels: list[int], scores: list[SegmentScore],
-            cfg: PipelineConfig) -> PipelineResult:
+def _decide(matrices: Iterable[FrameScoreMatrix], cfg: PipelineConfig) -> PipelineResult:
+    """Score matrices -> segment scores -> labels -> vote -> final label."""
+    scores = tuple(decide_segment(m, cfg.thresh) for m in matrices)
+    labels = tuple(s.label for s in scores)
     windows = vote_with_fallback(labels, cfg.vote)
-    decision = VadDecision(tuple(labels), tuple(windows), final_decision(windows))
-    return PipelineResult(decision, tuple(scores))
+    return PipelineResult(VadDecision(labels, tuple(windows), final_decision(windows)),
+                          scores)
 
 
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig,
                  scorer: ReferenceScorer | None = None) -> PipelineResult:
-    """Detect speech in one clip (expected to be at the pipeline rate)."""
+    """Detect speech in one clip (expected to be at the pipeline rate); the
+    baseline scores it whole, as one segment that is its own vote."""
     scorer = scorer or cfg.make_scorer()
     if not cfg.vote_enabled:
-        ss = decide_segment(scorer.score(buf), cfg.thresh)
-        decision = VadDecision((ss.label,), (ss.label,), ss.label)
-        return PipelineResult(decision, (ss,))
+        return _decide([scorer.score(buf)], cfg)
 
     rows = segment_rows(buf, cfg.segment_ms)
     rate = buf.sample_rate_hz
@@ -135,9 +138,9 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig,
             matrices.extend(scorer.score_rows(block, rate, filterbank))
         return matrices
 
-    scores = [decide_segment(FrameScoreMatrix(m, scorer.hop_ms), cfg.thresh)
-              for chunk in parallel.map_chunks(score_chunk, len(rows)) for m in chunk]
-    return _decide([s.label for s in scores], scores, cfg)
+    chunks = parallel.map_chunks(score_chunk, len(rows))
+    return _decide((FrameScoreMatrix(m, scorer.hop_ms) for chunk in chunks for m in chunk),
+                   cfg)
 
 
 def run_pipeline_on_scores(matrix: FrameScoreMatrix,
@@ -148,14 +151,8 @@ def run_pipeline_on_scores(matrix: FrameScoreMatrix,
     map onto row spans of the matrix using its frame duration.
     """
     if not cfg.vote_enabled:
-        ss = decide_segment(matrix, cfg.thresh)
-        decision = VadDecision((ss.label,), (ss.label,), ss.label)
-        return PipelineResult(decision, (ss,))
-
+        return _decide([matrix], cfg)
     total_ms = matrix.num_frames * matrix.frame_duration_ms
     count = max(1, math.ceil(total_ms / cfg.segment_ms))
-    scores = []
-    for t in range(count):
-        part = slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms)
-        scores.append(decide_segment(part, cfg.thresh))
-    return _decide([s.label for s in scores], scores, cfg)
+    return _decide((slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms)
+                    for t in range(count)), cfg)

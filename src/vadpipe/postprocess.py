@@ -43,35 +43,48 @@ class VadDecision:
     final: int
 
 
+def _window_and_quorum(t: int, cfg: VoteConfig) -> tuple[int, int]:
+    """(window, quorum) of the vote over t labels: the configured pair when
+    t >= W, else one window of all t labels with the quorum scaled
+    proportionally (never below one vote)."""
+    if t >= cfg.window_w:
+        return cfg.window_w, cfg.effective_quorum
+    return t, max(1, math.ceil(cfg.effective_quorum * t / cfg.window_w))
+
+
 def vote_windows(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
     """Vote over every length-W window (stride 1). Requires T >= W.
 
     Inputs shorter than one window are the caller's problem; see
     vote_with_fallback for the short-clip policy.
     """
-    t = len(labels)
-    w = cfg.window_w
-    if t < w:
-        raise ValueError(f"need at least {w} labels, got {t}")
-    quorum = cfg.effective_quorum
+    if len(labels) < cfg.window_w:
+        raise ValueError(f"need at least {cfg.window_w} labels, got {len(labels)}")
+    return vote_with_fallback(labels, cfg)
+
+
+def vote_with_fallback(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
+    """vote_windows, degrading to one whole-input window when T < W."""
+    w, quorum = _window_and_quorum(len(labels), cfg)
     running = sum(labels[:w])
     out = [int(running >= quorum)]
-    for i in range(t - w):
+    for i in range(len(labels) - w):
         running += labels[i + w] - labels[i]
         out.append(int(running >= quorum))
     return out
 
 
-def vote_with_fallback(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
-    """vote_windows, degrading to one whole-input window when T < W.
+def vote_statistic(values: Sequence[float], cfg: VoteConfig) -> float:
+    """The best quorum-th-largest value over the vote's windows.
 
-    The short-input quorum is scaled proportionally (never below one vote).
+    The vote over the labels (v >= t) says speech exactly when this
+    statistic is >= t, for every threshold t. A single value is its own
+    statistic under every VoteConfig.
     """
-    t = len(labels)
-    if t >= cfg.window_w:
-        return vote_windows(labels, cfg)
-    scaled = max(1, math.ceil(cfg.effective_quorum * t / cfg.window_w))
-    return [int(sum(labels) >= scaled)]
+    if len(values) == 0:
+        raise ValueError("no values to vote over")
+    w, quorum = _window_and_quorum(len(values), cfg)
+    return max(sorted(values[i:i + w])[-quorum] for i in range(len(values) - w + 1))
 
 
 def final_decision(window_labels: Sequence[int]) -> int:

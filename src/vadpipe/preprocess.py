@@ -9,6 +9,7 @@ thread's scratch store (`dsp.scratch`); the public functions return copies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,13 @@ from . import dsp
 SILENCE_RMS_FLOOR = 1e-8
 
 STAGE_NAMES = ("spectral_subtract", "energy_gate", "rms_normalize")
+
+
+def require_finite(cfg, names: tuple[str, ...]) -> None:
+    """Raise ValueError unless each named field of cfg is a finite number."""
+    for name in names:
+        if not math.isfinite(getattr(cfg, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +51,7 @@ class PreprocessConfig:
     fft_hop: int = 128
 
     def __post_init__(self):
+        require_finite(self, ("alpha", "theta", "target_rms"))
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
@@ -88,6 +97,11 @@ def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float, out=None):
     return np.maximum(diff, beta * noise_mag, out=out)
 
 
+def noise_lead_in(cfg: PreprocessConfig) -> int:
+    """Samples the noise estimate's leading frames cover."""
+    return (cfg.noise_frames - 1) * cfg.fft_hop + cfg.fft_len
+
+
 def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
                        noise_mag: np.ndarray | None) -> np.ndarray:
     """Spectral subtraction of every row of a (T, n) array.
@@ -99,9 +113,9 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     dsp.check_stft_geometry(fft_len, hop)
     t, n = rows.shape
     if noise_mag is None:
-        spec = dsp.stft_rows(rows, fft_len, hop)
-        k = min(cfg.noise_frames, spec.shape[1])
-        noise_mag = np.abs(spec[:, :k]).mean(axis=1, keepdims=True)
+        # at most noise_frames frames: the lead-in holds no more
+        spec = dsp.stft_rows(rows[:, :noise_lead_in(cfg)], fft_len, hop)
+        noise_mag = np.abs(spec).mean(axis=1, keepdims=True)
     # Reflect-pad by pad samples on each side. Frames of the padded grid that
     # lie wholly inside the padding reach no kept sample and are skipped;
     # the kept samples' frames, and their order, are the full grid's.
@@ -200,8 +214,7 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
     for the background the paper's method assumes. Only the samples the
     leading frames cover are transformed.
     """
-    lead_in = (cfg.noise_frames - 1) * cfg.fft_hop + cfg.fft_len
-    spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz),
+    spec = dsp.stft(AudioBuffer(buf.samples[:noise_lead_in(cfg)], buf.sample_rate_hz),
                     cfg.fft_len, cfg.fft_hop)
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
 

@@ -1,15 +1,22 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from vadpipe.audio_io import write_wav
-from vadpipe.cli import build_pipeline_config, format_config, main, parse_config_file
+from vadpipe.cli import (CONFIG_KEYS, build_pipeline_config, format_config, main,
+                         parse_config_file)
+from vadpipe.pipeline import MODES, SCORER_BACKENDS, PipelineConfig
+from vadpipe.postprocess import VoteConfig
+from vadpipe.preprocess import STAGE_NAMES, PreprocessConfig
 from vadpipe.scorer import FrameScoreMatrix, write_scores
 
 from conftest import make_buffer
@@ -21,6 +28,15 @@ def corpus_dir(tmp_path_factory):
     assert main(["synth", "--clips", "9", "--snr", "0,10", "--seed", "4",
                  "--duration", "2.0", "--out", str(root)]) == 0
     return root
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "vadpipe.cli", *args],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
 
 
 def digest_dir(root: Path) -> dict:
@@ -75,15 +91,31 @@ class TestDetectCommand:
     def test_segment_below_one_sample_fails_clip(self, tmp_path):
         wav = tmp_path / "a.wav"
         write_wav(make_buffer(np.zeros(1600)), wav)
-        src = Path(__file__).resolve().parent.parent / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "vadpipe.cli", "detect", "--mode", "vad1",
-             "--segment-ms", "0.01", str(wav)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        proc = run_cli("detect", "--mode", "vad1", "--segment-ms", "0.01", str(wav))
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {wav}: ") and "no whole sample" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("flags", [
+        ["--mode", "vad1", "--segment-ms", "inf"], ["--mode", "vad1", "--frame-ms", "inf"],
+        ["--mode", "vad1", "--hop-ms", "inf"], ["--mode", "vad1", "--thresh", "nan"],
+        ["--mode", "vad2", "--alpha", "nan"], ["--mode", "vad2", "--theta-abs", "nan"],
+        ["--mode", "vad2", "--target-rms", "inf"],
+    ])
+    def test_non_finite_value_is_usage_error(self, tmp_path, capsys, flags):
+        wav = tmp_path / "a.wav"
+        write_wav(make_buffer(np.random.default_rng(1).standard_normal(32000) * 0.1), wav)
+        assert main(["detect", *flags, str(wav)]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "must be finite" in captured.err
+        assert captured.out == ""
+
+    def test_non_finite_value_exits_without_traceback(self, tmp_path):
+        wav = tmp_path / "a.wav"
+        write_wav(make_buffer(np.zeros(32000)), wav)
+        proc = run_cli("detect", "--mode", "vad1", "--segment-ms", "inf", str(wav))
+        assert proc.returncode == 2
+        assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_json_lines_output(self, tmp_path, capsys):
         wav = tmp_path / "s.wav"
@@ -155,6 +187,21 @@ class TestEvalCommand:
                      "--modes", "vad9"]) == 2
 
 
+@pytest.mark.parametrize("command", ["eval", "roc"])
+class TestReportUsageErrors:
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one(self, corpus_dir, capsys, command, jobs):
+        assert main([command, "--manifest", str(corpus_dir / "manifest.tsv"),
+                     "--jobs", jobs]) == 2
+        assert "jobs must be >= 1" in capsys.readouterr().err
+
+    def test_score_file_backend(self, corpus_dir, capsys, command):
+        assert main([command, "--manifest", str(corpus_dir / "manifest.tsv"),
+                     "--scorer", "score-file", "--jobs", "1"]) == 2
+        captured = capsys.readouterr()
+        assert "detect only" in captured.err and captured.out == ""
+
+
 class TestRocCommand:
     def test_prints_fpr_per_mode(self, corpus_dir, capsys):
         status = main(["roc", "--manifest", str(corpus_dir / "manifest.tsv"),
@@ -215,3 +262,53 @@ class TestConfigHandling:
         assert cfg.vote.effective_quorum == 3
         assert cfg.preprocess.alpha == 1.5
         assert cfg.preprocess.noise_frames == 6
+
+
+positive = st.floats(min_value=0.0, exclude_min=True, max_value=1e9,
+                     allow_nan=False, allow_infinity=False)
+pipeline_configs = st.builds(
+    PipelineConfig,
+    mode=st.sampled_from(MODES),
+    segment_ms=positive,
+    thresh=st.floats(allow_nan=False, allow_infinity=False),
+    preprocess=st.builds(
+        PreprocessConfig,
+        alpha=st.floats(min_value=1.0, max_value=1e9),
+        beta=st.floats(min_value=0.0, max_value=1.0),
+        theta=st.floats(min_value=0.0, max_value=1e9),
+        theta_relative=st.booleans(),
+        target_rms=positive,
+        noise_frames=st.integers(1, 64),
+        stages=st.lists(st.sampled_from(STAGE_NAMES), unique=True).map(tuple)),
+    vote=st.integers(1, 8).flatmap(
+        lambda w: st.builds(VoteConfig, st.just(w), st.none() | st.integers(1, w))),
+    scorer_backend=st.sampled_from(SCORER_BACKENDS),
+    bands=st.integers(1, 128),
+    frame_ms=positive,
+    hop_ms=positive,
+)
+
+
+class TestConfigTable:
+    @settings(deadline=None)  # each example writes and reads a file
+    @given(pipeline_configs)
+    @example(PipelineConfig(preprocess=PreprocessConfig(alpha=1.23456789)))
+    @example(PipelineConfig(thresh=0.1 + 0.2, segment_ms=1e-7))
+    def test_format_parse_build_round_trips(self, tmp_path_factory, cfg):
+        text = format_config(cfg)
+        path = tmp_path_factory.mktemp("cfg") / "cfg.txt"
+        path.write_text(text)
+        rebuilt = build_pipeline_config(parse_config_file(path))
+        assert format_config(rebuilt) == text
+        # --print-config writes the quorum out, so the rebuilt one is explicit
+        assert rebuilt == replace(cfg, vote=VoteConfig(cfg.vote.window_w,
+                                                       cfg.vote.effective_quorum))
+
+    def test_readme_defaults_are_the_printed_defaults(self):
+        readme = (ROOT / "README.md").read_text()
+        section = readme[readme.index("### Configuration"):readme.index("### File formats")]
+        documented = {key: default.strip("`") for key, default in
+                      re.findall(r"^\| `(\w+)` +\| (\S+) +\|", section, re.M)}
+        printed = dict(line.split(" = ")
+                       for line in format_config(build_pipeline_config({})).splitlines())
+        assert documented == {key: printed.get(key, "-") for key in CONFIG_KEYS}

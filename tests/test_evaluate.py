@@ -229,6 +229,15 @@ class TestRunEval:
         assert vad1.num_clips == 0
         assert all("RuntimeError: scorer exploded" in e for e in vad1.errors)
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, corpus, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_eval(corpus, [PipelineConfig()], jobs=jobs)
+
+    def test_score_file_backend_rejected(self, corpus):
+        with pytest.raises(ValueError, match="detect only"):
+            run_eval(corpus, [PipelineConfig(mode="vad1", scorer_backend="score-file")])
+
     def test_empty_manifest_rejected(self, tmp_path):
         from vadpipe.synth import Manifest
         with pytest.raises(ValueError):

@@ -159,6 +159,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError):
             PipelineConfig(scorer_backend="onnx")
 
+    @pytest.mark.parametrize("name", ["segment_ms", "thresh", "frame_ms", "hop_ms"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PipelineConfig(**{name: value})
+
     def test_mode_determines_stages(self):
         assert not PipelineConfig(mode="baseline").preprocess_enabled
         assert not PipelineConfig(mode="baseline").vote_enabled

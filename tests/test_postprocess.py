@@ -2,9 +2,10 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vadpipe.postprocess import (VoteConfig, default_quorum, final_decision,
-                                 vote_windows, vote_with_fallback)
+                                 vote_statistic, vote_windows, vote_with_fallback)
 
 
 def oracle_votes(labels, w, quorum):
@@ -105,3 +106,30 @@ class TestVoteConfig:
     def test_rejects_out_of_range_quorum(self, quorum):
         with pytest.raises(ValueError):
             VoteConfig(4, quorum=quorum)
+
+
+vote_configs = st.integers(1, 8).flatmap(
+    lambda w: st.builds(VoteConfig, st.just(w), st.none() | st.integers(1, w)))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestVoteStatistic:
+    @given(vote_configs, st.lists(finite_floats, min_size=1, max_size=60), st.data())
+    def test_vote_says_speech_exactly_when_statistic_reaches_threshold(
+            self, cfg, values, data):
+        t = data.draw(finite_floats | st.sampled_from(values))
+        labels = [int(v >= t) for v in values]
+        assert final_decision(vote_with_fallback(labels, cfg)) == \
+            int(vote_statistic(values, cfg) >= t)
+
+    @given(vote_configs, finite_floats)
+    def test_single_value_is_its_own_statistic(self, cfg, value):
+        assert vote_statistic([value], cfg) == value
+
+    def test_short_input_scales_quorum(self):
+        # T = 2 < W = 4: one window, quorum ceil(3 * 2 / 4) = 2
+        assert vote_statistic([5.0, 9.0], VoteConfig(4)) == 5.0
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError):
+            vote_statistic([], VoteConfig(4))

@@ -117,6 +117,23 @@ class TestSpectralSubtract:
         if n == 3200:  # 30 frames on the padded grid, the first and last all padding
             assert spec.shape[0] == 30 and transformed == [28]
 
+    @pytest.mark.parametrize("n", [300, 700, 1152, 3200])
+    def test_self_estimate_reads_only_the_lead_in(self, rng, n, monkeypatch):
+        # The default lead-in is (6 - 1) * 128 + 512 = 1152 samples.
+        cfg = PreprocessConfig()
+        buf = make_buffer(rng.standard_normal(n) * 0.2)
+        whole = dsp.stft(buf, cfg.fft_len, cfg.fft_hop)
+        want = spectral_subtract(
+            buf, cfg, noise=estimate_noise(whole, min(cfg.noise_frames, whole.num_frames)))
+
+        transformed = []
+        rfft_frames = dsp.rfft_frames
+        monkeypatch.setattr(dsp, "rfft_frames", lambda frames, *a, **k: (
+            transformed.append(frames.shape[-2]) or rfft_frames(frames, *a, **k)))
+        got = spectral_subtract(buf, cfg)
+        assert np.array_equal(got.samples, want.samples)
+        assert transformed[0] == min(cfg.noise_frames, whole.num_frames)
+
     def test_clip_noise_profile_matches_leading_frames(self, rng):
         buf = make_buffer(rng.standard_normal(16000) * 0.1)
         cfg = PreprocessConfig()
@@ -278,6 +295,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"alpha": 0.5}, {"beta": -0.1}, {"beta": 1.5},
         {"theta": -1.0}, {"target_rms": 0.0}, {"noise_frames": 0},
+        {"alpha": float("nan")}, {"alpha": float("inf")}, {"beta": float("nan")},
+        {"theta": float("nan")}, {"theta": float("inf")},
+        {"target_rms": float("nan")}, {"target_rms": float("inf")},
     ])
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
