@@ -258,6 +258,13 @@ def _print_roc(reports, args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:   # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="vadpipe",
                                      description="Noise-robust voice activity detection")
@@ -292,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_report.add_argument("--modes", default="baseline,vad1,vad2")
         p_report.add_argument("--out", help="directory for accuracy.md and roc_<mode>.csv")
         p_report.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-        p_report.add_argument("--target-tpr", type=float, default=0.99)
+        p_report.add_argument("--target-tpr", type=fraction, default=0.99)
         _add_config_flags(p_report)
         p_report.set_defaults(func=cmd_report, report=report)
 

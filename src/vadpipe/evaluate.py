@@ -92,7 +92,7 @@ def roc_sweep(clip_scores: Sequence[tuple[float, int]],
 
 def fpr_at_tpr(curve: RocCurve, target_tpr: float) -> float:
     """Smallest FPR reaching the target TPR, interpolating between points."""
-    if target_tpr > 1.0:
+    if not target_tpr <= 1.0:   # NaN fails too
         raise ValueError(f"target_tpr must be <= 1, got {target_tpr}")
     if target_tpr <= 0.0:
         return 0.0

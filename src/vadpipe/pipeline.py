@@ -57,8 +57,11 @@ class PipelineConfig:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scorer_backend not in SCORER_BACKENDS:
             raise ValueError(f"unknown scorer backend {self.scorer_backend!r}")
-        if self.segment_ms <= 0:
-            raise ValueError(f"segment_ms must be positive, got {self.segment_ms}")
+        for name in ("segment_ms", "frame_ms", "hop_ms"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.bands < 1:
+            raise ValueError(f"bands must be >= 1, got {self.bands}")
 
     @property
     def preprocess_enabled(self) -> bool:

@@ -117,6 +117,21 @@ class TestDetectCommand:
         assert proc.returncode == 2
         assert "error" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flag,value", [("--frame-ms", "0"), ("--hop-ms", "0"),
+                                            ("--hop-ms", "-5"), ("--bands", "0")])
+    def test_bad_scorer_geometry_is_usage_error(self, tmp_path, capsys, flag, value):
+        # exit 2, not 1: the setting is refused before any clip is read
+        assert main(["detect", "--mode", "vad2", flag, value,
+                     str(tmp_path / "never_read.wav")]) == 2
+        captured = capsys.readouterr()
+        assert f"{flag[2:].replace('-', '_')} must be" in captured.err
+        assert "never_read" not in captured.err and captured.out == ""
+
+    def test_bad_scorer_geometry_exits_without_traceback(self, tmp_path):
+        proc = run_cli("detect", "--mode", "vad2", "--hop-ms", "0", str(tmp_path / "a.wav"))
+        assert proc.returncode == 2
+        assert "hop_ms must be positive" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_json_lines_output(self, tmp_path, capsys):
         wav = tmp_path / "s.wav"
         write_wav(make_buffer(np.zeros(16000)), wav)
@@ -203,6 +218,18 @@ class TestReportUsageErrors:
 
 
 class TestRocCommand:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "1.5", "x"])
+    def test_target_tpr_outside_unit_interval_is_usage_error(self, corpus_dir, capsys,
+                                                             monkeypatch, value):
+        def no_eval(*args, **kwargs):
+            raise AssertionError("evaluation ran")
+
+        monkeypatch.setattr("vadpipe.cli.run_eval", no_eval)
+        assert main(["roc", "--manifest", str(corpus_dir / "manifest.tsv"),
+                     "--target-tpr", value]) == 2
+        captured = capsys.readouterr()
+        assert "--target-tpr" in captured.err and captured.out == ""
+
     def test_prints_fpr_per_mode(self, corpus_dir, capsys):
         status = main(["roc", "--manifest", str(corpus_dir / "manifest.tsv"),
                        "--modes", "baseline,vad1", "--target-tpr", "0.99",

@@ -139,6 +139,11 @@ class TestFprAtTpr:
         with pytest.raises(ValueError):
             fpr_at_tpr(curve, 1.01)
 
+    def test_target_nan_rejected(self):
+        curve = self.curve([(1.0, 1), (0.5, 0)])
+        with pytest.raises(ValueError):
+            fpr_at_tpr(curve, float("nan"))
+
 
 class TestClipStatistic:
     def test_baseline_passes_through(self):

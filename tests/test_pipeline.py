@@ -165,6 +165,17 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             PipelineConfig(**{name: value})
 
+    @pytest.mark.parametrize("name", ["segment_ms", "frame_ms", "hop_ms"])
+    @pytest.mark.parametrize("value", [0.0, -5.0])
+    def test_rejects_non_positive_lengths(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            PipelineConfig(**{name: value})
+
+    @pytest.mark.parametrize("bands", [0, -1])
+    def test_rejects_bands_below_one(self, bands):
+        with pytest.raises(ValueError, match="bands must be >= 1"):
+            PipelineConfig(bands=bands)
+
     def test_mode_determines_stages(self):
         assert not PipelineConfig(mode="baseline").preprocess_enabled
         assert not PipelineConfig(mode="baseline").vote_enabled
