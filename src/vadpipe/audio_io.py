@@ -84,6 +84,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
         raise WavFormatError(f"{path}: missing fmt or data chunk")
 
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+    if rate == 0:
+        raise WavFormatError(f"{path}: sample rate 0")
     if channels not in (1, 2):
         raise UnsupportedCodecError(f"{path}: {channels} channels not supported")
     if audio_format == 1 and bits == 16:

@@ -12,16 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
+from . import parallel
 from .audio_io import ensure_rate, read_wav
 from .evaluate import accuracy_table_markdown, run_eval
 from .pipeline import PipelineConfig, run_pipeline, run_pipeline_on_scores
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
-from .scorer import load_scores
+from .scorer import ReferenceScorer, load_scores
 from .synth import DEFAULT_SNRS_DB, generate_corpus, read_manifest
 
 
@@ -61,12 +61,13 @@ CONFIG_FIELDS = {
     "target_rms": ("preprocess", "target_rms", _FLOAT),
     "noise_frames": ("preprocess", "noise_frames", _INT),
     "stages": ("preprocess", "stages", _STAGES),
-    "bands": ("", "bands", _INT),
-    "frame_ms": ("", "frame_ms", _FLOAT),
-    "hop_ms": ("", "hop_ms", _FLOAT),
+    "bands": ("scoring", "bands", _INT),
+    "frame_ms": ("scoring", "frame_ms", _FLOAT),
+    "hop_ms": ("scoring", "hop_ms", _FLOAT),
     "scorer": ("", "scorer_backend", _STR),
 }
 CONFIG_KEYS = tuple(CONFIG_FIELDS)
+SECTIONS = {"preprocess": PreprocessConfig, "vote": VoteConfig, "scoring": ReferenceScorer}
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -86,14 +87,14 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 def build_pipeline_config(values: dict[str, str]) -> PipelineConfig:
     """Construct a PipelineConfig from merged string settings."""
-    fields: dict[str, dict] = {"": {}, "preprocess": {}, "vote": {}}
+    fields: dict[str, dict] = {"": {}, **{section: {} for section in SECTIONS}}
     for key, (section, name, (parse, _)) in CONFIG_FIELDS.items():
         if key in values:
             fields[section][name] = parse(values[key])
     if "theta_abs" in values:
         fields["preprocess"]["theta_relative"] = False
-    return PipelineConfig(preprocess=PreprocessConfig(**fields["preprocess"]),
-                          vote=VoteConfig(**fields["vote"]), **fields[""])
+    return PipelineConfig(**fields[""], **{section: cls(**fields[section])
+                                           for section, cls in SECTIONS.items()})
 
 
 def format_config(cfg: PipelineConfig) -> str:
@@ -298,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
         p_report.add_argument("--manifest", required=True)
         p_report.add_argument("--modes", default="baseline,vad1,vad2")
         p_report.add_argument("--out", help="directory for accuracy.md and roc_<mode>.csv")
-        p_report.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+        p_report.add_argument("--jobs", type=int, default=parallel.usable_cpus())
         p_report.add_argument("--target-tpr", type=fraction, default=0.99)
         _add_config_flags(p_report)
         p_report.set_defaults(func=cmd_report, report=report)

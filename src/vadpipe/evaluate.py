@@ -57,13 +57,8 @@ def class_accuracy(decisions: Sequence[tuple[int, str]]) -> dict[str, float]:
     return {cls: correct[cls] / totals[cls] for cls in totals}
 
 
-def roc_sweep(clip_scores: Sequence[tuple[float, int]],
-              num_thresholds: int | None = None) -> RocCurve:
-    """ROC over all distinct score thresholds (boundary-inclusive >= rule).
-
-    num_thresholds, when given, subsamples the distinct scores evenly to cap
-    the curve size; None keeps the exact curve.
-    """
+def roc_sweep(clip_scores: Sequence[tuple[float, int]]) -> RocCurve:
+    """ROC over all distinct score thresholds (boundary-inclusive >= rule)."""
     scores = np.array([s for s, _ in clip_scores], dtype=np.float64)
     truths = np.array([t for _, t in clip_scores], dtype=np.int64)
     n_pos = int(truths.sum())
@@ -71,13 +66,8 @@ def roc_sweep(clip_scores: Sequence[tuple[float, int]],
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs both speech and non-speech clips")
 
-    thresholds = np.unique(scores)[::-1]
-    if num_thresholds is not None and 0 < num_thresholds < len(thresholds):
-        idx = np.unique(np.linspace(0, len(thresholds) - 1, num_thresholds).round().astype(int))
-        thresholds = thresholds[idx]
-
     points = [(math.inf, 0.0, 0.0)]
-    for th in thresholds:
+    for th in np.unique(scores)[::-1]:
         predicted = scores >= th
         tpr = float(np.sum(predicted & (truths == 1))) / n_pos
         fpr = float(np.sum(predicted & (truths == 0))) / n_neg

@@ -37,6 +37,9 @@ SCORER_BACKENDS = ("reference", "score-file")
 # one block per thread. Blocks of 8 rows measured 10-25 % slower per clip
 # (more numpy calls for the same work, 2-vCPU Xeon VM).
 ROW_BLOCK = 20
+# The longest segment a config may ask for. A clip is zero-padded to whole
+# segments, so memory grows with them: at 16 kHz a one-minute row is 7.7 MB.
+MAX_SEGMENT_MS = 60_000.0
 
 
 @dataclass(frozen=True)
@@ -47,21 +50,18 @@ class PipelineConfig:
     preprocess: PreprocessConfig = field(default_factory=PreprocessConfig)
     vote: VoteConfig = field(default_factory=VoteConfig)
     scorer_backend: str = "reference"
-    bands: int = 32
-    frame_ms: float = 25.0
-    hop_ms: float = 10.0
+    scoring: ReferenceScorer = field(default_factory=ReferenceScorer)
 
     def __post_init__(self):
-        require_finite(self, ("segment_ms", "thresh", "frame_ms", "hop_ms"))
+        require_finite(self, ("thresh",))
+        require_finite(self, ("segment_ms",), positive=True)
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.scorer_backend not in SCORER_BACKENDS:
             raise ValueError(f"unknown scorer backend {self.scorer_backend!r}")
-        for name in ("segment_ms", "frame_ms", "hop_ms"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.bands < 1:
-            raise ValueError(f"bands must be >= 1, got {self.bands}")
+        if self.segment_ms > MAX_SEGMENT_MS:
+            raise ValueError(f"segment_ms must be at most {MAX_SEGMENT_MS:g}, "
+                             f"got {self.segment_ms:g}")
 
     @property
     def preprocess_enabled(self) -> bool:
@@ -74,9 +74,9 @@ class PipelineConfig:
     def with_mode(self, mode: str) -> "PipelineConfig":
         return replace(self, mode=mode)
 
+    # Unused here but kept: perfbench/workloads.py calls it.
     def make_scorer(self) -> ReferenceScorer:
-        return ReferenceScorer(bands=self.bands, frame_ms=self.frame_ms,
-                               hop_ms=self.hop_ms)
+        return self.scoring
 
 
 @dataclass(frozen=True)
@@ -117,11 +117,10 @@ def _decide(matrices: Iterable[FrameScoreMatrix], cfg: PipelineConfig) -> Pipeli
                           scores)
 
 
-def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig,
-                 scorer: ReferenceScorer | None = None) -> PipelineResult:
+def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     """Detect speech in one clip (expected to be at the pipeline rate); the
     baseline scores it whole, as one segment that is its own vote."""
-    scorer = scorer or cfg.make_scorer()
+    scorer = cfg.scoring
     if not cfg.vote_enabled:
         return _decide([scorer.score(buf)], cfg)
 

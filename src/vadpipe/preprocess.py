@@ -18,15 +18,25 @@ from .audio_io import AudioBuffer
 from . import dsp
 
 SILENCE_RMS_FLOOR = 1e-8
+# The fixed analysis geometry: a Hann STFT for spectral subtraction and its
+# noise estimate, and the energy gate's frames.
+FFT_LEN = 512
+FFT_HOP = 128
+GATE_FRAME_MS = 25.0
+GATE_HOP_MS = 10.0
 
 STAGE_NAMES = ("spectral_subtract", "energy_gate", "rms_normalize")
 
 
-def require_finite(cfg, names: tuple[str, ...]) -> None:
-    """Raise ValueError unless each named field of cfg is a finite number."""
+def require_finite(cfg, names: tuple[str, ...], positive: bool = False) -> None:
+    """Raise ValueError unless each named field of cfg is a finite number,
+    and a positive one if asked."""
     for name in names:
-        if not math.isfinite(getattr(cfg, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(cfg, name)}")
+        value = getattr(cfg, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if positive and value <= 0:
+            raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,21 +55,16 @@ class PreprocessConfig:
     target_rms: float = 0.1
     noise_frames: int = 6         # leading frames used for the noise estimate
     stages: tuple[str, ...] = STAGE_NAMES
-    gate_frame_ms: float = 25.0
-    gate_hop_ms: float = 10.0
-    fft_len: int = 512
-    fft_hop: int = 128
 
     def __post_init__(self):
-        require_finite(self, ("alpha", "theta", "target_rms"))
+        require_finite(self, ("alpha", "theta"))
+        require_finite(self, ("target_rms",), positive=True)
         if self.alpha < 1.0:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.theta < 0.0:
             raise ValueError(f"theta must be >= 0, got {self.theta}")
-        if self.target_rms <= 0.0:
-            raise ValueError(f"target_rms must be positive, got {self.target_rms}")
         if self.noise_frames < 1:
             raise ValueError(f"noise_frames must be >= 1, got {self.noise_frames}")
         unknown = set(self.stages) - set(STAGE_NAMES)
@@ -97,41 +102,27 @@ def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float, out=None):
     return np.maximum(diff, beta * noise_mag, out=out)
 
 
-def noise_lead_in(cfg: PreprocessConfig) -> int:
-    """Samples the noise estimate's leading frames cover."""
-    return (cfg.noise_frames - 1) * cfg.fft_hop + cfg.fft_len
-
-
 def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
-                       noise_mag: np.ndarray | None) -> np.ndarray:
-    """Spectral subtraction of every row of a (T, n) array.
-
-    noise_mag is one magnitude per bin for all rows; None estimates it per
-    row from that row's own leading frames.
-    """
-    fft_len, hop = cfg.fft_len, cfg.fft_hop
-    dsp.check_stft_geometry(fft_len, hop)
+                       noise_mag: np.ndarray) -> np.ndarray:
+    """Spectral subtraction of every row of a (T, n) array, with one noise
+    magnitude per bin for all rows."""
     t, n = rows.shape
-    if noise_mag is None:
-        # at most noise_frames frames: the lead-in holds no more
-        spec = dsp.stft_rows(rows[:, :noise_lead_in(cfg)], fft_len, hop)
-        noise_mag = np.abs(spec).mean(axis=1, keepdims=True)
     # Reflect-pad by pad samples on each side. Frames of the padded grid that
     # lie wholly inside the padding reach no kept sample and are skipped;
     # the kept samples' frames, and their order, are the full grid's.
-    pad = min(fft_len, n - 1)
+    pad = min(FFT_LEN, n - 1)
     length = n + 2 * pad
-    first = max(0, (pad - fft_len) // hop + 1)
-    stop = min(dsp.num_frames_for(length, fft_len, hop), -(-(pad + n) // hop))
-    start = first * hop
-    span = (stop - first - 1) * hop + fft_len
+    first = max(0, (pad - FFT_LEN) // FFT_HOP + 1)
+    stop = min(dsp.num_frames_for(length, FFT_LEN, FFT_HOP), -(-(pad + n) // FFT_HOP))
+    start = first * FFT_HOP
+    span = (stop - first - 1) * FFT_HOP + FFT_LEN
     padded = dsp.scratch("spectral_subtract.padded", (t, max(length, start + span)))
     padded[:, :pad] = rows[:, pad:0:-1]
     padded[:, pad:pad + n] = rows
     padded[:, pad + n:length] = rows[:, n - 1 - pad:n - 1][:, ::-1]
     padded[:, length:] = 0.0
-    frames = dsp.frame_view(padded[:, start:start + span], fft_len, hop)
-    spec = dsp.rfft_frames(frames, fft_len, dsp.analysis_window("hann", fft_len),
+    frames = dsp.frame_view(padded[:, start:start + span], FFT_LEN, FFT_HOP)
+    spec = dsp.rfft_frames(frames, FFT_LEN, dsp.analysis_window("hann", FFT_LEN),
                            key="spectral_subtract.spectra")
     mag = np.abs(spec, out=dsp.scratch("spectral_subtract.mag", spec.shape))
     clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta,
@@ -141,7 +132,7 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     zero = mag == 0.0
     spec *= np.divide(clean, mag, out=mag, where=~zero)
     np.copyto(spec, clean, where=zero)
-    out = dsp.istft_rows(spec, fft_len, hop, pad - start + n, key="spectral_subtract.out")
+    out = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, pad - start + n, key="spectral_subtract.out")
     return out[:, pad - start:]
 
 
@@ -149,23 +140,20 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
                       noise: NoiseProfile | None = None) -> AudioBuffer:
     """Subtract an estimated noise magnitude spectrum, keeping the noisy phase.
 
-    When no profile is supplied, the noise is estimated from the leading
-    frames of the buffer itself (clamped to however many frames exist).
+    When no profile is supplied, the buffer's own clip_noise_profile is used.
     The signal is reflect-padded around the STFT so every original sample
     has full analysis-window coverage; otherwise modified edge frames get
     amplified by the tiny overlap-add weights there.
     """
-    noise_mag = None if noise is None else noise.magnitude_spectrum
-    return AudioBuffer(_spectral_subtract(buf.samples[None], cfg, noise_mag)[0].copy(),
-                       buf.sample_rate_hz)
+    if noise is None:
+        noise = clip_noise_profile(buf, cfg)
+    out = _spectral_subtract(buf.samples[None], cfg, noise.magnitude_spectrum)[0]
+    return AudioBuffer(out.copy(), buf.sample_rate_hz)
 
 
-def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int,
-                 frame_len: int | None = None, hop: int | None = None) -> np.ndarray:
-    if frame_len is None:
-        frame_len = int(round(sample_rate_hz * cfg.gate_frame_ms / 1000.0))
-    if hop is None:
-        hop = int(round(sample_rate_hz * cfg.gate_hop_ms / 1000.0))
+def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int) -> np.ndarray:
+    frame_len = int(round(sample_rate_hz * GATE_FRAME_MS / 1000.0))
+    hop = int(round(sample_rate_hz * GATE_HOP_MS / 1000.0))
     frames = dsp.frame_rows(rows, frame_len, hop, key="energy_gate.grid")
     gated = dsp.scratch("energy_gate.frames", frames.shape)
     energies = np.square(frames, out=gated).sum(axis=-1)
@@ -177,10 +165,9 @@ def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int,
     return dsp.overlap_add_rows(gated, hop, rows.shape[-1], key="energy_gate.out")
 
 
-def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig,
-                frame_len: int | None = None, hop: int | None = None) -> AudioBuffer:
+def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     """Zero frames whose energy falls below the threshold, then overlap-add."""
-    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz, frame_len, hop).copy(),
+    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz).copy(),
                        buf.sample_rate_hz)
 
 
@@ -214,32 +201,28 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
     for the background the paper's method assumes. Only the samples the
     leading frames cover are transformed.
     """
-    spec = dsp.stft(AudioBuffer(buf.samples[:noise_lead_in(cfg)], buf.sample_rate_hz),
-                    cfg.fft_len, cfg.fft_hop)
+    lead_in = (cfg.noise_frames - 1) * FFT_HOP + FFT_LEN
+    spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz), FFT_LEN, FFT_HOP)
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
 
 
 def preprocess_rows(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
-                    noise: NoiseProfile | None = None) -> np.ndarray:
-    """Run the configured stages in order over every row of a (T, n) array.
-
-    `noise` feeds the spectral-subtraction stage; when omitted, each row
-    estimates from its own leading frames.
-    """
+                    noise: NoiseProfile) -> np.ndarray:
+    """Run the configured stages in order over every row of a (T, n) array;
+    `noise` feeds the spectral-subtraction stage of every row."""
     return np.array(preprocess_rows_scratch(rows, sample_rate_hz, cfg, noise))
 
 
 def preprocess_rows_scratch(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
-                            noise: NoiseProfile | None = None) -> np.ndarray:
+                            noise: NoiseProfile) -> np.ndarray:
     """preprocess_rows, leaving the result in this thread's scratch store:
     it is valid until the thread's next pre-processing call."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")
-    noise_mag = None if noise is None else noise.magnitude_spectrum
     for stage in cfg.stages:
         if stage == "spectral_subtract":
-            rows = _spectral_subtract(rows, cfg, noise_mag)
+            rows = _spectral_subtract(rows, cfg, noise.magnitude_spectrum)
         elif stage == "energy_gate":
             rows = _energy_gate(rows, cfg, sample_rate_hz)
         elif stage == "rms_normalize":
@@ -249,8 +232,11 @@ def preprocess_rows_scratch(rows: np.ndarray, sample_rate_hz: int, cfg: Preproce
 
 def preprocess_segment(seg: AudioBuffer, cfg: PreprocessConfig,
                        noise: NoiseProfile | None = None) -> AudioBuffer:
-    """Run the configured stages in order over one segment (see preprocess_rows)."""
+    """Run the configured stages in order over one segment (see preprocess_rows),
+    with the segment's own clip_noise_profile when given no profile."""
     if len(seg) == 0:
         raise ValueError("cannot preprocess an empty segment")
+    if noise is None:
+        noise = clip_noise_profile(seg, cfg)
     return AudioBuffer(preprocess_rows(seg.samples[None], seg.sample_rate_hz, cfg, noise)[0],
                        seg.sample_rate_hz)

@@ -16,10 +16,17 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import AudioBuffer
+from .preprocess import require_finite
 from . import dsp, parallel
 
 _LOG_FLOOR = 1e-10
 NOISE_FLOOR_PERCENTILE = 10.0
+# The scorer's FFT length: the smallest power of two that holds a whole
+# frame, and at least this many points (a 25 ms frame at 16 kHz is 400).
+MIN_FFT_LEN = 512
+# The longest frame a scorer may ask for. Each frame is transformed whole, so
+# memory grows with it: a one-second frame at 16 kHz takes 16,384 points.
+MAX_FRAME_MS = 1000.0
 # ReferenceScorer.score splits a buffer's frames across threads only in
 # chunks of at least this many: below ~100 frames per chunk the hand-off
 # costs more than the second CPU saves (2-vCPU Xeon VM: 200 frames 0.99 ->
@@ -102,15 +109,25 @@ class ReferenceScorer:
     bands: int = 32
     frame_ms: float = 25.0
     hop_ms: float = 10.0
-    fft_len: int = 512
 
-    def _geometry(self, sample_rate_hz: int) -> tuple[int, int]:
-        return (int(round(sample_rate_hz * self.frame_ms / 1000.0)),
-                int(round(sample_rate_hz * self.hop_ms / 1000.0)))
+    def __post_init__(self):
+        require_finite(self, ("frame_ms", "hop_ms"), positive=True)
+        if self.frame_ms > MAX_FRAME_MS:
+            raise ValueError(f"frame_ms must be at most {MAX_FRAME_MS:g}, got {self.frame_ms:g}")
+        if self.hop_ms > self.frame_ms:
+            raise ValueError(f"hop_ms must not exceed frame_ms: {self.hop_ms} > {self.frame_ms}")
+        if self.bands < 1:
+            raise ValueError(f"bands must be >= 1, got {self.bands}")
+
+    def _geometry(self, sample_rate_hz: int) -> tuple[int, int, int]:
+        """(frame_len, hop, fft_len) in samples at the given rate."""
+        frame_len = int(round(sample_rate_hz * self.frame_ms / 1000.0))
+        return (frame_len, int(round(sample_rate_hz * self.hop_ms / 1000.0)),
+                max(MIN_FFT_LEN, 1 << (frame_len - 1).bit_length()))
 
     def filterbank(self, sample_rate_hz: int) -> np.ndarray:
         """This scorer's mel filterbank at the given rate (see mel_filterbank)."""
-        return mel_filterbank(self.bands, self.fft_len, sample_rate_hz)
+        return mel_filterbank(self.bands, self._geometry(sample_rate_hz)[2], sample_rate_hz)
 
     def score(self, seg: AudioBuffer) -> FrameScoreMatrix:
         """Scores of one whole buffer.
@@ -120,13 +137,13 @@ class ReferenceScorer:
         runs over all frames at once, so the result does not depend on the
         chunking.
         """
-        frame_len, hop = self._geometry(seg.sample_rate_hz)
+        frame_len, hop, fft_len = self._geometry(seg.sample_rate_hz)
         fb = self.filterbank(seg.sample_rate_hz)
         frames = dsp.frame_rows(seg.samples[None], frame_len, hop, key="score.padded")
-        power = dsp.scratch("score.power", frames.shape[:-1] + (self.fft_len // 2 + 1,))
+        power = dsp.scratch("score.power", frames.shape[:-1] + (fft_len // 2 + 1,))
 
         def chunk(start, stop):
-            self._power(frames[:, start:stop], power[:, start:stop])
+            _power(frames[:, start:stop], fft_len, power[:, start:stop])
 
         parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)
         return FrameScoreMatrix(_log_mel_excess(power, fb)[0], self.hop_ms)
@@ -138,19 +155,19 @@ class ReferenceScorer:
         Each row gets its own noise floor, exactly as if scored alone.
         filterbank is this scorer's, when the caller has looked it up already.
         """
-        frame_len, hop = self._geometry(sample_rate_hz)
+        frame_len, hop, fft_len = self._geometry(sample_rate_hz)
         if filterbank is None:
             filterbank = self.filterbank(sample_rate_hz)
         frames = dsp.frame_rows(rows, frame_len, hop, key="score_rows.grid")
-        power = dsp.scratch("score_rows.power", frames.shape[:-1] + (self.fft_len // 2 + 1,))
-        self._power(frames, power)
+        power = dsp.scratch("score_rows.power", frames.shape[:-1] + (fft_len // 2 + 1,))
+        _power(frames, fft_len, power)
         return _log_mel_excess(power, filterbank)
 
-    def _power(self, frames: np.ndarray, out: np.ndarray) -> None:
-        spectra = dsp.rfft_frames(frames, self.fft_len, _hanning(frames.shape[-1]),
-                                  key="score.spectra")
-        np.abs(spectra, out=out)
-        np.square(out, out=out)
+
+def _power(frames: np.ndarray, fft_len: int, out: np.ndarray) -> None:
+    spectra = dsp.rfft_frames(frames, fft_len, _hanning(frames.shape[-1]), key="score.spectra")
+    np.abs(spectra, out=out)
+    np.square(out, out=out)
 
 
 @functools.lru_cache(maxsize=16)
@@ -173,7 +190,11 @@ def load_scores(path: str | Path) -> FrameScoreMatrix:
     Layout: a header line `#channels=C frame_ms=M`, then one row per frame:
     `frame_index score_1 ... score_C`, indices consecutive from 1.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ScoreFormatError(f"{path}: not a text file ({exc.reason})") from exc
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ScoreFormatError(f"{path}: empty score file")
     header = lines[0]

@@ -20,6 +20,11 @@ from vadpipe.preprocess import SILENCE_RMS_FLOOR, PreprocessConfig
 from vadpipe.scorer import NOISE_FLOOR_PERCENTILE, mel_filterbank
 
 _DENOM_FLOOR = 1e-12
+# The analysis geometry, written out here rather than read from vadpipe.
+FFT_LEN = 512
+FFT_HOP = 128
+GATE_FRAME_MS = 25.0
+GATE_HOP_MS = 10.0
 
 
 def frames_of(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -69,7 +74,7 @@ def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
 
 def noise_estimate(x: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
     """Mean magnitude of the leading STFT frames of the whole input."""
-    spec = stft(x, cfg.fft_len, cfg.fft_hop)
+    spec = stft(x, FFT_LEN, FFT_HOP)
     return np.abs(spec[:min(cfg.noise_frames, len(spec))]).mean(axis=0)
 
 
@@ -77,17 +82,17 @@ def spectral_subtract(x: np.ndarray, cfg: PreprocessConfig,
                       noise: np.ndarray | None) -> np.ndarray:
     if noise is None:
         noise = noise_estimate(x, cfg)
-    pad = min(cfg.fft_len, len(x) - 1)
+    pad = min(FFT_LEN, len(x) - 1)
     padded = np.pad(x, pad, mode="reflect") if pad else x
-    spec = stft(padded, cfg.fft_len, cfg.fft_hop)
+    spec = stft(padded, FFT_LEN, FFT_HOP)
     clean = np.maximum(np.abs(spec) - cfg.alpha * noise, cfg.beta * noise)
-    out = istft(clean * np.exp(1j * np.angle(spec)), cfg.fft_len, cfg.fft_hop, len(padded))
+    out = istft(clean * np.exp(1j * np.angle(spec)), FFT_LEN, FFT_HOP, len(padded))
     return out[pad:pad + len(x)]
 
 
 def energy_gate(x: np.ndarray, cfg: PreprocessConfig, sr: int) -> np.ndarray:
-    frame_len = int(round(sr * cfg.gate_frame_ms / 1000.0))
-    hop = int(round(sr * cfg.gate_hop_ms / 1000.0))
+    frame_len = int(round(sr * GATE_FRAME_MS / 1000.0))
+    hop = int(round(sr * GATE_HOP_MS / 1000.0))
     frames = frames_of(x, frame_len, hop)
     energies = np.sum(frames ** 2, axis=1)
     theta = cfg.theta * float(energies.mean()) if cfg.theta_relative else cfg.theta
@@ -114,13 +119,13 @@ def preprocess(x: np.ndarray, cfg: PreprocessConfig, sr: int,
 
 
 def score(x: np.ndarray, cfg: PipelineConfig, sr: int) -> np.ndarray:
-    frame_len = int(round(sr * cfg.frame_ms / 1000.0))
-    hop = int(round(sr * cfg.hop_ms / 1000.0))
+    frame_len = int(round(sr * cfg.scoring.frame_ms / 1000.0))
+    hop = int(round(sr * cfg.scoring.hop_ms / 1000.0))
     fft_len = 512
     spectra = np.fft.rfft(frames_of(x, frame_len, hop) * np.hanning(frame_len),
                           n=fft_len, axis=1)
     power = np.abs(spectra) ** 2
-    fb = mel_filterbank(cfg.bands, fft_len, sr)
+    fb = mel_filterbank(cfg.scoring.bands, fft_len, sr)
     log_energy = np.log(power @ fb.T + 1e-10)
     floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=0)
     return np.maximum(log_energy - floor, 0.0)

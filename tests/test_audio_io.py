@@ -2,6 +2,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadpipe.audio_io import (AudioBuffer, UnsupportedCodecError, WavFormatError,
                               read_wav, resample, write_wav)
@@ -73,6 +74,59 @@ class TestReadWav:
                                    channels=channels, bits=bits))
         with pytest.raises(UnsupportedCodecError):
             read_wav(path)
+
+
+    def test_sample_rate_zero_is_a_format_error(self, tmp_path):
+        path = tmp_path / "r0.wav"
+        path.write_bytes(build_wav(struct.pack("<3h", 1, 2, 3), rate=0))
+        with pytest.raises(WavFormatError, match="sample rate 0"):
+            read_wav(path)
+
+
+@st.composite
+def wav_files(draw) -> bytes:
+    """A RIFF/WAVE file of fmt, data and other chunks in any order, with
+    common and uncommon codec fields, damaged in at most one way."""
+    tag, bits = draw(st.sampled_from([(1, 16), (3, 32), (0, 16), (2, 16), (1, 8),
+                                      (1, 24), (3, 64), (0xFFFE, 16)]))
+    channels = draw(st.sampled_from([1, 2, 0, 3]))
+    rate = draw(st.sampled_from([16000, 48000, 0, 1, 2**32 - 1]))
+    block = channels * bits // 8
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block % 2**32, block, bits)
+    chunks = [[b"fmt ", fmt + draw(st.binary(max_size=3))],
+              [b"data", draw(st.binary(max_size=64))]]
+    chunks += draw(st.lists(st.tuples(st.binary(min_size=4, max_size=4),
+                                      st.binary(max_size=16)).map(list), max_size=2))
+    chunks = draw(st.permutations(chunks))
+    sizes = [len(body) for _, body in chunks]
+    damage = draw(st.sampled_from(["none", "none", "size", "short fmt", "cut", "riff"]))
+    if damage == "size":
+        sizes[draw(st.integers(0, len(chunks) - 1))] = draw(st.integers(0, 2**32 - 1))
+    elif damage == "short fmt":
+        fmt_chunk = next(c for c in chunks if c[0] == b"fmt ")
+        fmt_chunk[1] = fmt_chunk[1][:draw(st.integers(0, 15))]
+        sizes = [len(body) for _, body in chunks]
+    blob = b"RIFF\x00\x00\x00\x00WAVE" + b"".join(
+        chunk_id + struct.pack("<I", size) + body + b"\x00" * (len(body) & 1)
+        for (chunk_id, body), size in zip(chunks, sizes))
+    if damage == "cut":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif damage == "riff":
+        blob = draw(st.binary(min_size=12, max_size=12)) + blob[12:]
+    return blob
+
+
+@settings(deadline=None, max_examples=300)  # each example writes and reads a file
+@given(wav_files())
+def test_read_wav_fuzz_raises_only_declared_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "f.wav"
+    path.write_bytes(blob)
+    try:
+        buf = read_wav(path)
+    except (WavFormatError, UnsupportedCodecError):
+        return
+    assert buf.sample_rate_hz > 0
+    assert np.all(np.abs(buf.samples) <= 1.0)
 
 
 class TestWriteWav:

@@ -16,8 +16,9 @@ from vadpipe.aggregate import decide_segment
 from vadpipe.audio_io import AudioBuffer
 from vadpipe.pipeline import PipelineConfig, run_pipeline, segment, segment_rows
 from vadpipe.postprocess import final_decision, vote_with_fallback
-from vadpipe.preprocess import (STAGE_NAMES, PreprocessConfig, clip_noise_profile,
-                                preprocess_rows, preprocess_segment)
+from vadpipe.preprocess import (STAGE_NAMES, NoiseProfile, PreprocessConfig,
+                                clip_noise_profile, preprocess_rows, preprocess_segment)
+from vadpipe.scorer import ReferenceScorer
 from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
 
 from conftest import SR, make_buffer
@@ -121,22 +122,22 @@ def test_stage_subsets_and_orders(stages):
 
 @pytest.mark.parametrize("stages", STAGE_ORDERS, ids=lambda s: "+".join(s) or "none")
 def test_rows_estimate_their_own_noise(stages):
-    # Without a clip profile each row estimates noise from its own frames,
-    # at whatever stage spectral subtraction runs.
+    # Each row with the noise profile of its own leading frames, which is
+    # also what preprocess_segment uses when given no profile.
     cfg = PreprocessConfig(stages=stages)
     buf = noisy_clip(1.1, seed=8)
-    rows = segment_rows(buf, 200.0)
-    batched = preprocess_rows(rows, SR, cfg)
-    for row, got in zip(rows, batched):
+    for row in segment_rows(buf, 200.0):
+        got = preprocess_rows(row[None], SR, cfg, clip_noise_profile(make_buffer(row), cfg))[0]
         assert np.array_equal(got, preprocess_segment(make_buffer(row), cfg).samples)
-        want = oracle.preprocess(row, cfg, SR, None)
+        want = oracle.preprocess(row, cfg, SR, oracle.noise_estimate(row, cfg))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_other_settings():
     buf = noisy_clip(3.3, seed=11, snr_db=10.0)
     for cfg in (PipelineConfig(mode="vad2", thresh=20.0, segment_ms=130.0),
-                PipelineConfig(mode="vad1", thresh=20.0, bands=20, frame_ms=32.0, hop_ms=8.0),
+                PipelineConfig(mode="vad1", thresh=20.0,
+                               scoring=ReferenceScorer(bands=20, frame_ms=32.0, hop_ms=8.0)),
                 vad2(alpha=3.0, beta=0.0, noise_frames=40, target_rms=0.5)):
         assert_matches_oracle(buf, cfg)
 
@@ -152,4 +153,5 @@ def test_row_block_size_does_not_change_results(monkeypatch, block):
 
 def test_preprocess_rows_rejects_non_2d():
     with pytest.raises(ValueError):
-        preprocess.preprocess_rows(np.zeros(3200), SR, PreprocessConfig())
+        preprocess.preprocess_rows(np.zeros(3200), SR, PreprocessConfig(),
+                                   NoiseProfile(np.zeros(257)))

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from vadpipe import parallel
 from vadpipe.audio_io import write_wav
-from vadpipe.cli import (CONFIG_KEYS, build_pipeline_config, format_config, main,
-                         parse_config_file)
-from vadpipe.pipeline import MODES, SCORER_BACKENDS, PipelineConfig
+from vadpipe.cli import (CONFIG_KEYS, build_parser, build_pipeline_config, format_config,
+                         main, parse_config_file)
+from vadpipe.pipeline import MAX_SEGMENT_MS, MODES, SCORER_BACKENDS, PipelineConfig
 from vadpipe.postprocess import VoteConfig
 from vadpipe.preprocess import STAGE_NAMES, PreprocessConfig
-from vadpipe.scorer import FrameScoreMatrix, write_scores
+from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer, write_scores
 
 from conftest import make_buffer
 
@@ -127,6 +128,19 @@ class TestDetectCommand:
         assert f"{flag[2:].replace('-', '_')} must be" in captured.err
         assert "never_read" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--frame-ms", "10", "--hop-ms", "20"], "hop_ms must not exceed frame_ms"),
+        (["--hop-ms", "25.5"], "hop_ms must not exceed frame_ms"),
+        (["--segment-ms", "1e9"], "segment_ms must be at most 60000"),
+        (["--frame-ms", "1e6"], "frame_ms must be at most 1000"),
+    ])
+    def test_setting_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
+        # refused before any clip is read, so no segment rows are allocated
+        assert main(["detect", "--mode", "vad2", *flags, str(tmp_path / "never_read.wav")]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "never_read" not in captured.err and captured.out == ""
+
     def test_bad_scorer_geometry_exits_without_traceback(self, tmp_path):
         proc = run_cli("detect", "--mode", "vad2", "--hop-ms", "0", str(tmp_path / "a.wav"))
         assert proc.returncode == 2
@@ -200,6 +214,12 @@ class TestEvalCommand:
     def test_unknown_mode_usage_error(self, corpus_dir):
         assert main(["eval", "--manifest", str(corpus_dir / "manifest.tsv"),
                      "--modes", "vad9"]) == 2
+
+
+@pytest.mark.parametrize("command", ["eval", "roc"])
+def test_jobs_defaults_to_the_usable_cpus(monkeypatch, command):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    assert build_parser().parse_args([command, "--manifest", "m.tsv"]).jobs == 3
 
 
 @pytest.mark.parametrize("command", ["eval", "roc"])
@@ -293,10 +313,11 @@ class TestConfigHandling:
 
 positive = st.floats(min_value=0.0, exclude_min=True, max_value=1e9,
                      allow_nan=False, allow_infinity=False)
+frame_lengths = st.floats(min_value=0.0, exclude_min=True, max_value=MAX_FRAME_MS)
 pipeline_configs = st.builds(
     PipelineConfig,
     mode=st.sampled_from(MODES),
-    segment_ms=positive,
+    segment_ms=st.floats(min_value=0.0, exclude_min=True, max_value=MAX_SEGMENT_MS),
     thresh=st.floats(allow_nan=False, allow_infinity=False),
     preprocess=st.builds(
         PreprocessConfig,
@@ -310,9 +331,9 @@ pipeline_configs = st.builds(
     vote=st.integers(1, 8).flatmap(
         lambda w: st.builds(VoteConfig, st.just(w), st.none() | st.integers(1, w))),
     scorer_backend=st.sampled_from(SCORER_BACKENDS),
-    bands=st.integers(1, 128),
-    frame_ms=positive,
-    hop_ms=positive,
+    # the longer of two lengths is the frame: a hop may not exceed it
+    scoring=st.builds(lambda bands, a, b: ReferenceScorer(bands, max(a, b), min(a, b)),
+                      st.integers(1, 128), frame_lengths, frame_lengths),
 )
 
 

@@ -94,15 +94,6 @@ class TestRocSweep:
         assert (tprs[0], fprs[0]) == (0.0, 0.0)
         assert (tprs[-1], fprs[-1]) == (1.0, 1.0)
 
-    def test_num_thresholds_subsampling(self, rng):
-        raw = rng.uniform(0, 1, size=200)
-        truths = rng.integers(0, 2, size=200)
-        truths[:2] = [0, 1]
-        scores = list(zip(raw.tolist(), truths.tolist()))
-        coarse = roc_sweep(scores, num_thresholds=10)
-        assert len(coarse.points) <= 12
-        assert coarse.auc == pytest.approx(roc_sweep(scores).auc, abs=0.05)
-
 
 class TestFprAtTpr:
     def curve(self, scores):

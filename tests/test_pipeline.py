@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from vadpipe.pipeline import (PipelineConfig, run_pipeline, run_pipeline_on_scores,
-                              segment, segment_rows)
-from vadpipe.scorer import FrameScoreMatrix
+from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
+                              run_pipeline_on_scores, segment, segment_rows)
+from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer
 from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
 
 from conftest import make_buffer
@@ -150,6 +150,13 @@ class TestRunPipelineOnScores:
             assert clip_statistic(values, cfg) == pytest.approx(1.5, rel=1e-12)
 
 
+def config_with(name, value) -> PipelineConfig:
+    """A PipelineConfig with one setting changed, in the section that holds it."""
+    if name in ("bands", "frame_ms", "hop_ms"):
+        return PipelineConfig(scoring=ReferenceScorer(**{name: value}))
+    return PipelineConfig(**{name: value})
+
+
 class TestPipelineConfig:
     def test_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
@@ -163,18 +170,35 @@ class TestPipelineConfig:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
-            PipelineConfig(**{name: value})
+            config_with(name, value)
 
     @pytest.mark.parametrize("name", ["segment_ms", "frame_ms", "hop_ms"])
     @pytest.mark.parametrize("value", [0.0, -5.0])
     def test_rejects_non_positive_lengths(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be positive"):
-            PipelineConfig(**{name: value})
+            config_with(name, value)
 
     @pytest.mark.parametrize("bands", [0, -1])
     def test_rejects_bands_below_one(self, bands):
         with pytest.raises(ValueError, match="bands must be >= 1"):
-            PipelineConfig(bands=bands)
+            config_with("bands", bands)
+
+    @pytest.mark.parametrize("frame_ms,hop_ms", [(10.0, 20.0), (25.0, 25.000001)])
+    def test_rejects_hop_longer_than_frame(self, frame_ms, hop_ms):
+        with pytest.raises(ValueError, match="hop_ms must not exceed frame_ms"):
+            ReferenceScorer(frame_ms=frame_ms, hop_ms=hop_ms)
+        assert ReferenceScorer(frame_ms=frame_ms, hop_ms=frame_ms).hop_ms == frame_ms
+
+    def test_frame_length_has_a_maximum(self):
+        assert ReferenceScorer(frame_ms=MAX_FRAME_MS).frame_ms == MAX_FRAME_MS
+        with pytest.raises(ValueError, match="frame_ms must be at most"):
+            ReferenceScorer(frame_ms=1000.5)
+
+    def test_segment_length_has_a_maximum(self):
+        assert PipelineConfig(segment_ms=MAX_SEGMENT_MS).segment_ms == MAX_SEGMENT_MS
+        for segment_ms in (MAX_SEGMENT_MS * (1 + 1e-15), 1e9):
+            with pytest.raises(ValueError, match="segment_ms must be at most"):
+                PipelineConfig(segment_ms=segment_ms)
 
     def test_mode_determines_stages(self):
         assert not PipelineConfig(mode="baseline").preprocess_enabled

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from vadpipe import dsp
-from vadpipe.preprocess import (NoiseProfile, PreprocessConfig, clip_noise_profile,
-                                energy_gate, estimate_noise, preprocess_segment,
-                                rms_normalize, spectral_subtract, subtract_magnitude)
+from vadpipe.preprocess import (FFT_HOP, FFT_LEN, NoiseProfile, PreprocessConfig,
+                                clip_noise_profile, energy_gate, estimate_noise,
+                                preprocess_segment, rms_normalize, spectral_subtract,
+                                subtract_magnitude)
 
 from conftest import make_buffer, sine
 
@@ -98,15 +99,15 @@ class TestSpectralSubtract:
         samples = rng.standard_normal(n) * 0.2
         cfg = PreprocessConfig()
         noise = clip_noise_profile(make_buffer(rng.standard_normal(4000) * 0.1), cfg)
-        pad = min(cfg.fft_len, n - 1)
+        pad = min(FFT_LEN, n - 1)
         padded = np.pad(samples, pad, mode="reflect") if pad else samples
-        spec = dsp.stft_rows(padded, cfg.fft_len, cfg.fft_hop)
+        spec = dsp.stft_rows(padded, FFT_LEN, FFT_HOP)
         mag = np.abs(spec)
         clean = subtract_magnitude(mag, cfg.alpha, noise.magnitude_spectrum, cfg.beta)
         zero = mag == 0.0
         spec *= np.divide(clean, mag, out=mag, where=~zero)
         np.copyto(spec, clean, where=zero)
-        want = dsp.istft_rows(spec, cfg.fft_len, cfg.fft_hop, len(padded))[pad:pad + n]
+        want = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, len(padded))[pad:pad + n]
 
         transformed = []
         rfft_frames = dsp.rfft_frames
@@ -122,7 +123,7 @@ class TestSpectralSubtract:
         # The default lead-in is (6 - 1) * 128 + 512 = 1152 samples.
         cfg = PreprocessConfig()
         buf = make_buffer(rng.standard_normal(n) * 0.2)
-        whole = dsp.stft(buf, cfg.fft_len, cfg.fft_hop)
+        whole = dsp.stft(buf, FFT_LEN, FFT_HOP)
         want = spectral_subtract(
             buf, cfg, noise=estimate_noise(whole, min(cfg.noise_frames, whole.num_frames)))
 
@@ -138,7 +139,7 @@ class TestSpectralSubtract:
         buf = make_buffer(rng.standard_normal(16000) * 0.1)
         cfg = PreprocessConfig()
         profile = clip_noise_profile(buf, cfg)
-        spec = dsp.stft(buf, cfg.fft_len, cfg.fft_hop)
+        spec = dsp.stft(buf, FFT_LEN, FFT_HOP)
         expected = estimate_noise(spec, cfg.noise_frames)
         assert np.array_equal(profile.magnitude_spectrum, expected.magnitude_spectrum)
 

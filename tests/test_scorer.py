@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vadpipe import dsp
 from vadpipe.preprocess import rms_normalize
 from vadpipe.scorer import (FrameScoreMatrix, ReferenceScorer, ScoreDomainError,
-                            ScoreFormatError, load_scores, mel_filterbank,
+                            ScoreFormatError, _log_mel_excess, load_scores, mel_filterbank,
                             slice_scores, write_scores)
 
 from conftest import make_buffer
@@ -82,6 +84,35 @@ class TestReferenceScorer:
         a = ReferenceScorer().score(rms_normalize(x, 0.1))
         b = ReferenceScorer().score(rms_normalize(scaled, 0.1))
         assert np.max(np.abs(a.scores - b.scores)) <= 1e-6
+
+
+def scores_with_fft_len(scorer: ReferenceScorer, rows: np.ndarray, fft_len: int) -> np.ndarray:
+    """ReferenceScorer.score_rows at 16 kHz spelled out, with the FFT length given."""
+    frame_len = int(round(16 * scorer.frame_ms))
+    frames = dsp.frame_rows(rows, frame_len, int(round(16 * scorer.hop_ms)))
+    power = np.abs(np.fft.rfft(frames * np.hanning(frame_len), n=fft_len)) ** 2
+    return _log_mel_excess(power, mel_filterbank(scorer.bands, fft_len, 16000))
+
+
+class TestFftLength:
+    @pytest.mark.parametrize("frame_ms", [25.0, 32.0])
+    def test_frames_that_fit_512_points_are_scored_as_before(self, rng, frame_ms):
+        scorer = ReferenceScorer(frame_ms=frame_ms, hop_ms=8.0)
+        rows = rng.standard_normal((3, 3200)) * 0.1
+        assert scorer.filterbank(16000) is mel_filterbank(32, 512, 16000)
+        assert np.array_equal(scorer.score_rows(rows, 16000),
+                              scores_with_fft_len(scorer, rows, 512))
+
+    def test_a_40_ms_frame_is_transformed_whole(self, rng):
+        scorer = ReferenceScorer(frame_ms=40.0)  # 640 samples at 16 kHz: 1024 points
+        rows = rng.standard_normal((3, 3200)) * 0.1
+        assert np.array_equal(scorer.score_rows(rows, 16000),
+                              scores_with_fft_len(scorer, rows, 1024))
+        # An impulse 600 samples in: of the first frame, only its last 128
+        # samples reach it, so a 512-point crop would score that frame 0.
+        impulse = np.zeros(3200)
+        impulse[600] = 1.0
+        assert scorer.score(make_buffer(impulse)).scores[0].max() > 0.0
 
 
 class TestFrameScoreMatrix:
@@ -164,6 +195,31 @@ class TestScoreFiles:
         back = load_scores(path)
         assert back.frame_duration_ms == 10.0
         assert np.allclose(back.scores, m.scores, atol=1e-8)
+
+
+numbers = st.sampled_from(["0", "1", "2", "-1", "0.5", "1e-320", "1e999", "nan", "inf",
+                           "-0", "x", "", "1_0", "\u0661", "3.0"]) | st.text(max_size=4)
+score_lines = st.lists(numbers, min_size=1, max_size=4).map(" ".join)
+# Any header over any rows; numbered rows under a good header; any text.
+score_texts = st.one_of(
+    st.builds(lambda channels, frame_ms, rows, sep: sep.join(
+        [f"#channels={channels} frame_ms={frame_ms}", *rows]),
+        numbers, numbers, st.lists(score_lines, max_size=4), st.sampled_from(["\n", "\r\n"])),
+    st.builds(lambda rows: "#channels=1 frame_ms=10\n" + "".join(
+        f"{i} {row}\n" for i, row in enumerate(rows, 1)), st.lists(score_lines, max_size=4)),
+    st.text())
+
+
+@settings(deadline=None)  # each example writes and reads a file
+@given(st.one_of(score_texts.map(lambda text: text.encode()), st.binary(max_size=64)))
+def test_load_scores_fuzz_raises_only_declared_errors(tmp_path_factory, blob):
+    path = tmp_path_factory.mktemp("fuzz") / "s.txt"
+    path.write_bytes(blob)
+    try:
+        matrix = load_scores(path)
+    except (ScoreFormatError, ScoreDomainError):
+        return
+    assert np.all(np.isfinite(matrix.scores)) and np.all(matrix.scores >= 0)
 
 
 class TestSliceScores:
