@@ -1,22 +1,36 @@
 """WAV file ingestion/emission and sample-rate conversion.
 
-All pipeline audio is mono float64 in [-1, 1]. Files are plain RIFF/WAVE,
-PCM 16-bit or IEEE float 32-bit, one or two channels; anything else is
-rejected rather than guessed at.
+All pipeline audio is mono float64 in [-1, 1]. Files are RIFF/WAVE, PCM
+16-bit or IEEE float 32-bit (plain or WAVE_FORMAT_EXTENSIBLE), one or two
+channels, at MIN_RATE_HZ to MAX_RATE_HZ; anything else is rejected rather
+than guessed at.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
+from scipy.signal import upfirdn
+
+from . import parallel
 
 PIPELINE_RATE_HZ = 16000
 
+# resample splits its output into parallel chunks of at least this many
+# samples: an 8 s clip at 16 kHz is 128,000.
+MIN_RESAMPLE_CHUNK = 8192
+# The sample rates read_wav accepts, in Hz: telephone band to studio rate.
+MIN_RATE_HZ = 8_000
+MAX_RATE_HZ = 192_000
+_WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+# Bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID that wraps a plain format
+# tag, {tag-0000-0010-8000-00aa00389b71}, as stored in the file.
+_KSDATAFORMAT_SUFFIX = bytes.fromhex("0000 0000 1000 8000 00aa 00389b71")
 # 16-bit scaling: divide by 32768 on read, clamp to [-32768, 32767] on write.
 _PCM16_FULL_SCALE = 32768.0
 
@@ -27,6 +41,10 @@ class WavFormatError(ValueError):
 
 class UnsupportedCodecError(ValueError):
     """Raised when a WAV file uses an encoding this reader does not handle."""
+
+
+class UnsupportedRateError(ValueError):
+    """Raised when a WAV file's sample rate is outside MIN_RATE_HZ..MAX_RATE_HZ."""
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,8 @@ def read_wav(path: str | Path) -> AudioBuffer:
             if len(body) < 16:
                 raise WavFormatError(f"{path}: truncated fmt chunk")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == _WAVE_FORMAT_EXTENSIBLE:
+                fmt = (_extensible_format(path, body),) + fmt[1:]
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise WavFormatError(f"{path}: data chunk shorter than declared")
@@ -86,6 +106,9 @@ def read_wav(path: str | Path) -> AudioBuffer:
     audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
     if rate == 0:
         raise WavFormatError(f"{path}: sample rate 0")
+    if not MIN_RATE_HZ <= rate <= MAX_RATE_HZ:
+        raise UnsupportedRateError(f"{path}: sample rate {rate} Hz outside the supported "
+                                   f"{MIN_RATE_HZ}-{MAX_RATE_HZ} Hz")
     if channels not in (1, 2):
         raise UnsupportedCodecError(f"{path}: {channels} channels not supported")
     if audio_format == 1 and bits == 16:
@@ -106,6 +129,17 @@ def read_wav(path: str | Path) -> AudioBuffer:
     return AudioBuffer(samples, rate)
 
 
+def _extensible_format(path, body: bytes) -> int:
+    """The format tag a WAVE_FORMAT_EXTENSIBLE fmt chunk names: the first two
+    bytes of its sub-format GUID, when the rest is the standard suffix."""
+    if len(body) < 40:
+        raise WavFormatError(f"{path}: extensible fmt chunk shorter than 40 bytes")
+    guid = body[24:40]
+    if guid[2:] != _KSDATAFORMAT_SUFFIX:
+        raise UnsupportedCodecError(f"{path}: unknown extensible sub-format {guid.hex()}")
+    return struct.unpack_from("<H", guid)[0]
+
+
 def write_wav(buf: AudioBuffer, path: str | Path) -> None:
     """Write a buffer as mono 16-bit PCM. Samples are clamped, not wrapped."""
     quantized = np.clip(np.rint(buf.samples * _PCM16_FULL_SCALE), -32768, 32767)
@@ -117,11 +151,13 @@ def write_wav(buf: AudioBuffer, path: str | Path) -> None:
     Path(path).write_bytes(header + payload)
 
 
+@functools.lru_cache(maxsize=16)
 def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64) -> np.ndarray:
     """Kaiser windowed-sinc lowpass for polyphase resampling.
 
     Each of the `up` polyphase branches gets `taps_per_phase` taps and is
     normalized to unit DC gain so constant signals pass through exactly.
+    Built once per ratio; the shared array is read-only.
     """
     n = taps_per_phase * up + 1  # odd length => symmetric, integer group delay
     cutoff = min(1.0 / up, 1.0 / down)  # fraction of the upsampled Nyquist
@@ -130,11 +166,18 @@ def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64) -> np.
     for phase in range(up):
         branch = h[phase::up]
         h[phase::up] = branch / (up * branch.sum())
+    h.setflags(write=False)
     return h
 
 
 def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
-    """Band-limited resampling via a fixed polyphase windowed-sinc filter."""
+    """Band-limited resampling via a fixed polyphase windowed-sinc filter.
+
+    The samples are those of scipy.signal.resample_poly with this filter,
+    bit for bit. Contiguous output ranges of at least MIN_RESAMPLE_CHUNK
+    samples are filtered as parallel chunks (see parallel.map_chunks), each
+    from the input slice that holds every tap of its outputs.
+    """
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
     if len(buf) == 0:
@@ -144,8 +187,34 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
 
     g = math.gcd(buf.sample_rate_hz, target_hz)
     up, down = target_hz // g, buf.sample_rate_hz // g
+    x = buf.samples
+    n_out = -(-len(x) * up // down)
+    # resample_poly's filter placement: the filter, scaled by up, is padded
+    # so that output k of upfirdn(h, x) lands at k + pre_remove.
     h = _design_resample_filter(up, down)
-    out = resample_poly(buf.samples, up, down, window=h)
+    half_len = (len(h) - 1) // 2
+    pre_pad = down - half_len % down
+    pre_remove = (half_len + pre_pad) // down
+    post_pad = 0
+    while ((len(x) - 1) * up + len(h) + pre_pad + post_pad - 1) // down + 1 \
+            < n_out + pre_remove:
+        post_pad += 1
+    h = np.concatenate((np.zeros(pre_pad), h * up, np.zeros(post_pad)))
+    # upfirdn computes output k from the inputs (k * down) // up - taps + 1
+    # through (k * down) // up, in that order, skipping any before the start.
+    taps = -(-len(h) // up)
+    out = np.empty(n_out)
+
+    def chunk(start: int, stop: int) -> None:
+        first = max(0, ((start + pre_remove) * down) // up - taps + 1)
+        last = ((stop - 1 + pre_remove) * down) // up
+        # Only a slice that starts at a multiple of down puts each output
+        # at the same polyphase phase as in the whole signal.
+        lo = first // down * down
+        skip = pre_remove + start - lo * up // down
+        out[start:stop] = upfirdn(h, x[lo:last + 1], up, down)[skip:skip + stop - start]
+
+    parallel.map_chunks(chunk, n_out, MIN_RESAMPLE_CHUNK)
     return AudioBuffer(out, target_hz)
 
 

@@ -5,8 +5,9 @@ one decision over the whole clip, `vad1` adds per-segment decisions with
 sliding-window voting, and `vad2` additionally runs the noise-removal
 preprocessing on every segment. A clip's segments travel as one zero-padded
 (T, seg_len) array through pre-processing and scoring, split into one
-contiguous chunk of rows per CPU (`parallel.map_chunks`); the results are
-the same as running each segment on its own, on any number of CPUs.
+contiguous chunk of rows per CPU (`parallel.map_chunks`), and each chunk
+also reduces its rows' scores to their segment values; the results are the
+same as running each segment on its own, on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import parallel
 from .audio_io import AudioBuffer
-from .aggregate import SegmentScore, decide_segment
+from .aggregate import SegmentScore, decide_segment, segment_values
 from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
 # preprocess_segment is unused here but kept importable from this module:
 # perfbench/tracing.py wraps each stage function in this namespace.
@@ -108,9 +109,9 @@ def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
     return [AudioBuffer(row, buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
 
 
-def _decide(matrices: Iterable[FrameScoreMatrix], cfg: PipelineConfig) -> PipelineResult:
-    """Score matrices -> segment scores -> labels -> vote -> final label."""
-    scores = tuple(decide_segment(m, cfg.thresh) for m in matrices)
+def _decide(scores: Iterable[SegmentScore], cfg: PipelineConfig) -> PipelineResult:
+    """Segment scores -> labels -> vote -> final label."""
+    scores = tuple(scores)
     labels = tuple(s.label for s in scores)
     windows = vote_with_fallback(labels, cfg.vote)
     return PipelineResult(VadDecision(labels, tuple(windows), final_decision(windows)),
@@ -122,7 +123,7 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     baseline scores it whole, as one segment that is its own vote."""
     scorer = cfg.scoring
     if not cfg.vote_enabled:
-        return _decide([scorer.score(buf)], cfg)
+        return _decide([decide_segment(scorer.score(buf), cfg.thresh)], cfg)
 
     rows = segment_rows(buf, cfg.segment_ms)
     rate = buf.sample_rate_hz
@@ -131,18 +132,18 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     noise = clip_noise_profile(buf, cfg.preprocess) if cfg.preprocess_enabled else None
     filterbank = scorer.filterbank(rate)
 
-    def score_chunk(start: int, stop: int) -> list[np.ndarray]:
-        matrices = []
+    def value_chunk(start: int, stop: int) -> list[np.ndarray]:
+        values = []
         for lo in range(start, stop, ROW_BLOCK):
             block = rows[lo:min(lo + ROW_BLOCK, stop)]
             if noise is not None:
                 block = preprocess_rows_scratch(block, rate, cfg.preprocess, noise)
-            matrices.extend(scorer.score_rows(block, rate, filterbank))
-        return matrices
+            values.append(segment_values(scorer.score_rows(block, rate, filterbank)))
+        return values
 
-    chunks = parallel.map_chunks(score_chunk, len(rows))
-    return _decide((FrameScoreMatrix(m, scorer.hop_ms) for chunk in chunks for m in chunk),
-                   cfg)
+    values = np.concatenate([v for chunk in parallel.map_chunks(value_chunk, len(rows))
+                             for v in chunk])
+    return _decide((decide_segment(None, cfg.thresh, v) for v in values.tolist()), cfg)
 
 
 def run_pipeline_on_scores(matrix: FrameScoreMatrix,
@@ -150,11 +151,18 @@ def run_pipeline_on_scores(matrix: FrameScoreMatrix,
     """Detect speech from an externally computed score matrix.
 
     Preprocessing does not apply here; the scores are already fixed. Segments
-    map onto row spans of the matrix using its frame duration.
+    map onto row spans of the matrix using its frame duration, and are
+    aggregated as one block zero-padded to the longest span.
     """
     if not cfg.vote_enabled:
-        return _decide([matrix], cfg)
+        return _decide([decide_segment(matrix, cfg.thresh)], cfg)
     total_ms = matrix.num_frames * matrix.frame_duration_ms
     count = max(1, math.ceil(total_ms / cfg.segment_ms))
-    return _decide((slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms)
-                    for t in range(count)), cfg)
+    spans = [slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms).scores
+             for t in range(count)]
+    frames = np.array([len(s) for s in spans])
+    block = np.zeros((count, frames.max(), matrix.num_channels))
+    for row, span in zip(block, spans):
+        row[:len(span)] = span
+    return _decide((decide_segment(None, cfg.thresh, v)
+                    for v in segment_values(block, frames).tolist()), cfg)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer
 from .preprocess import require_finite
 from . import dsp, parallel
 
@@ -118,6 +118,11 @@ class ReferenceScorer:
             raise ValueError(f"hop_ms must not exceed frame_ms: {self.hop_ms} > {self.frame_ms}")
         if self.bands < 1:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
+        # hop_ms <= frame_ms, so a hop of at least one sample means a frame
+        # of at least one too.
+        if self._geometry(PIPELINE_RATE_HZ)[1] < 1:
+            raise ValueError(f"hop_ms: a {self.hop_ms:g} ms hop at {PIPELINE_RATE_HZ} Hz "
+                             "holds no whole sample")
 
     def _geometry(self, sample_rate_hz: int) -> tuple[int, int, int]:
         """(frame_len, hop, fft_len) in samples at the given rate."""

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from vadpipe.aggregate import aggregate_score, decide_segment
+from vadpipe.aggregate import aggregate_score, decide_segment, segment_values
 from vadpipe.scorer import FrameScoreMatrix
 
 
@@ -61,3 +65,96 @@ class TestDecideSegment:
         labels = [decide_segment(matrix(scores), t).label
                   for t in np.linspace(0, 10, 25)]
         assert all(a >= b for a, b in zip(labels, labels[1:]))
+
+
+# ---------------------------------------------------------------------------
+# segment_values against math.fsum: equal, not close
+
+def fsum_value(segment: np.ndarray) -> float:
+    """The aggregate's definition: math.fsum over frames of math.fsum over channels."""
+    return math.fsum([math.fsum(row) for row in segment.tolist()]) / len(segment)
+
+
+def assert_fsum_values(block: np.ndarray) -> None:
+    want = [fsum_value(segment).hex() for segment in block.reshape((-1,) + block.shape[-2:])]
+    got = segment_values(block)
+    assert got.shape == block.shape[:-2]
+    assert [v.hex() for v in got.reshape(-1).tolist()] == want
+
+
+blocks = st.tuples(st.integers(1, 4), st.integers(1, 24), st.integers(1, 40)).flatmap(
+    lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 1e6)))
+
+
+@settings(deadline=None, max_examples=200)
+@given(blocks)
+def test_random_blocks_equal_fsum(block):
+    assert_fsum_values(block)
+
+
+@st.composite
+def tie_terms(draw) -> list[float]:
+    """Nonnegative terms whose exact sum is a half-ulp rounding tie, or lies
+    a hair above or below one, at a magnitude between 2^-60 and 2^60."""
+    big = math.ldexp(draw(st.integers(2**52, 2**53 - 1)), draw(st.integers(-60, 60)) - 52)
+    half = math.ulp(big) / 2
+    pieces = draw(st.integers(1, 3))
+    terms = [big] + [half / 2**pieces] * 2 + [half / 2**k for k in range(1, pieces)]
+    side = draw(st.sampled_from(["tie", "above", "below"]))
+    if side == "above":
+        terms.append(math.ldexp(half, -draw(st.integers(1, 60))))
+    elif side == "below":
+        terms[1] -= math.ldexp(terms[1], -draw(st.integers(1, 52)))
+    return draw(st.permutations(terms))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(tie_terms(), min_size=1, max_size=6), st.integers(0, 8), st.booleans())
+def test_tie_and_near_tie_rows_equal_fsum(rows, zeros, transpose):
+    # Each row's channel sum is a tie; transposed, the frame sums are the
+    # terms, so the sum over frames is the tie.
+    width = max(len(r) for r in rows) + zeros
+    block = np.zeros((len(rows), width))
+    for i, terms in enumerate(rows):
+        block[i, :len(terms)] = terms
+    if transpose:
+        block = block.T.copy()
+    assert_fsum_values(block[None])
+    assert_fsum_values(block.reshape(block.shape + (1,)))  # one channel
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 32), (2, 19, 1), (1, 798, 32)])
+def test_degenerate_shapes_equal_fsum(shape, rng):
+    assert_fsum_values(np.zeros(shape))
+    assert_fsum_values(-np.zeros(shape))   # -0.0 is not negative; fsum gives +0.0
+    assert_fsum_values(rng.uniform(0, 5, shape))
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
+                       elements=st.floats(0.0, 1e6)), min_size=1, max_size=5))
+def test_zero_padded_segments_equal_fsum_of_their_own_frames(segments):
+    frames = np.array([len(s) for s in segments])
+    block = np.zeros((len(segments), frames.max(), 3))
+    for row, s in zip(block, segments):
+        row[:len(s)] = s
+    got = segment_values(block, frames).tolist()
+    assert [v.hex() for v in got] == [fsum_value(s).hex() for s in segments]
+
+
+def test_segment_values_rejects_negative_scores():
+    with pytest.raises(ValueError, match="nonnegative"):
+        segment_values(np.array([[[1.0, -1e-300]]]))
+
+
+def test_overflowing_sum_raises_like_fsum():
+    with pytest.raises(OverflowError):
+        segment_values(np.full((1, 2, 2), 1e308))
+
+
+def test_decide_segment_with_a_precomputed_value(rng):
+    m = matrix(rng.uniform(0, 3, size=(19, 32)))
+    direct = decide_segment(m, 40.0)
+    assert decide_segment(None, 40.0, direct.value) == direct
+    with pytest.raises(TypeError, match="matrix or a value"):
+        decide_segment(None, 40.0)

@@ -1,20 +1,35 @@
+import math
 import struct
+import uuid
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vadpipe.audio_io import (AudioBuffer, UnsupportedCodecError, WavFormatError,
-                              read_wav, resample, write_wav)
+from scipy.signal import resample_poly
+
+from vadpipe import audio_io, parallel
+from vadpipe.audio_io import (AudioBuffer, UnsupportedCodecError, UnsupportedRateError,
+                              WavFormatError, read_wav, resample, write_wav)
 
 from conftest import make_buffer
 
 
-def build_wav(payload: bytes, fmt_tag=1, channels=1, rate=16000, bits=16) -> bytes:
+# Bytes 2-15 of KSDATAFORMAT_SUBTYPE_PCM as a file stores it; _IEEE_FLOAT
+# differs only in its first byte.
+GUID_SUFFIX = uuid.UUID("00000001-0000-0010-8000-00aa00389b71").bytes_le[2:]
+
+
+def build_wav(payload: bytes, fmt_tag=1, channels=1, rate=16000, bits=16,
+              sub_format: bytes | None = None) -> bytes:
+    """A mono or stereo WAV; with sub_format, a WAVE_FORMAT_EXTENSIBLE one
+    whose fmt chunk ends in that GUID."""
     block = channels * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_tag, channels, rate,
-                                    rate * block, block, bits)
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block % 2**32, block, bits)
+    if sub_format is not None:
+        fmt += struct.pack("<HHI", 22, bits, 0) + sub_format
+    header = b"RIFF" + struct.pack("<I", 20 + len(fmt) + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<I", len(fmt)) + fmt
     header += b"data" + struct.pack("<I", len(payload))
     return header + payload
 
@@ -76,6 +91,57 @@ class TestReadWav:
             read_wav(path)
 
 
+    @pytest.mark.parametrize("tag,bits,payload", [
+        (1, 16, struct.pack("<4h", 32767, 0, -32768, 1234)),
+        (3, 32, struct.pack("<4f", 0.25, -1.5, 2.0, -0.125)),
+    ])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_extensible_reads_as_its_plain_twin(self, tmp_path, tag, bits, payload, channels):
+        plain, ext = tmp_path / "plain.wav", tmp_path / "ext.wav"
+        plain.write_bytes(build_wav(payload, fmt_tag=tag, channels=channels, bits=bits))
+        ext.write_bytes(build_wav(payload, fmt_tag=0xFFFE, channels=channels, bits=bits,
+                                  sub_format=struct.pack("<H", tag) + GUID_SUFFIX))
+        want, got = read_wav(plain), read_wav(ext)
+        assert got.sample_rate_hz == want.sample_rate_hz
+        assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.parametrize("sub_format", [
+        struct.pack("<H", 1) + bytes(14),             # PCM tag, foreign suffix
+        bytes.fromhex("6cfb1e3a1c5a4b6f9d9b3c1e0a5b7d2e"),
+        struct.pack("<H", 2) + GUID_SUFFIX,           # ADPCM
+    ])
+    def test_extensible_unknown_sub_format_is_unsupported(self, tmp_path, sub_format):
+        path = tmp_path / "ext.wav"
+        path.write_bytes(build_wav(b"\x00" * 8, fmt_tag=0xFFFE, sub_format=sub_format))
+        with pytest.raises(UnsupportedCodecError):
+            read_wav(path)
+
+    @pytest.mark.parametrize("cut", [16, 18, 39])
+    def test_extensible_fmt_shorter_than_40_bytes_is_a_format_error(self, tmp_path, cut):
+        blob = build_wav(b"\x00" * 8, fmt_tag=0xFFFE,
+                         sub_format=struct.pack("<H", 1) + GUID_SUFFIX)
+        fmt = blob[20:20 + cut]
+        data = blob[60:]
+        path = tmp_path / "ext.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 12 + cut + len(data)) + b"WAVE"
+                         + b"fmt " + struct.pack("<I", cut) + fmt + data)
+        with pytest.raises(WavFormatError, match="shorter than 40"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [1, 4000, 7999, 192001, 2**32 - 1])
+    def test_rate_outside_the_supported_range_is_refused(self, tmp_path, rate):
+        path = tmp_path / "r.wav"
+        path.write_bytes(build_wav(struct.pack("<3h", 1, 2, 3), rate=rate))
+        with pytest.raises(UnsupportedRateError, match="outside the supported"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [audio_io.MIN_RATE_HZ, 11025, 44100,
+                                      audio_io.MAX_RATE_HZ])
+    def test_rates_in_the_supported_range_are_read(self, tmp_path, rate):
+        path = tmp_path / "r.wav"
+        path.write_bytes(build_wav(struct.pack("<3h", 1, 2, 3), rate=rate))
+        assert read_wav(path).sample_rate_hz == rate
+
     def test_sample_rate_zero_is_a_format_error(self, tmp_path):
         path = tmp_path / "r0.wav"
         path.write_bytes(build_wav(struct.pack("<3h", 1, 2, 3), rate=0))
@@ -88,11 +154,15 @@ def wav_files(draw) -> bytes:
     """A RIFF/WAVE file of fmt, data and other chunks in any order, with
     common and uncommon codec fields, damaged in at most one way."""
     tag, bits = draw(st.sampled_from([(1, 16), (3, 32), (0, 16), (2, 16), (1, 8),
-                                      (1, 24), (3, 64), (0xFFFE, 16)]))
+                                      (1, 24), (3, 64), (0xFFFE, 16), (0xFFFE, 32)]))
     channels = draw(st.sampled_from([1, 2, 0, 3]))
-    rate = draw(st.sampled_from([16000, 48000, 0, 1, 2**32 - 1]))
+    rate = draw(st.sampled_from([16000, 48000, 8000, 192000, 0, 1, 7999, 192001, 2**32 - 1]))
     block = channels * bits // 8
     fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block % 2**32, block, bits)
+    if tag == 0xFFFE:
+        sub_tag = draw(st.sampled_from([1, 3, 2]))
+        suffix = draw(st.sampled_from([GUID_SUFFIX, GUID_SUFFIX, bytes(14)]))
+        fmt += struct.pack("<HHIH", 22, bits, 3, sub_tag) + suffix
     chunks = [[b"fmt ", fmt + draw(st.binary(max_size=3))],
               [b"data", draw(st.binary(max_size=64))]]
     chunks += draw(st.lists(st.tuples(st.binary(min_size=4, max_size=4),
@@ -104,7 +174,7 @@ def wav_files(draw) -> bytes:
         sizes[draw(st.integers(0, len(chunks) - 1))] = draw(st.integers(0, 2**32 - 1))
     elif damage == "short fmt":
         fmt_chunk = next(c for c in chunks if c[0] == b"fmt ")
-        fmt_chunk[1] = fmt_chunk[1][:draw(st.integers(0, 15))]
+        fmt_chunk[1] = fmt_chunk[1][:draw(st.integers(0, 39 if tag == 0xFFFE else 15))]
         sizes = [len(body) for _, body in chunks]
     blob = b"RIFF\x00\x00\x00\x00WAVE" + b"".join(
         chunk_id + struct.pack("<I", size) + body + b"\x00" * (len(body) & 1)
@@ -123,9 +193,9 @@ def test_read_wav_fuzz_raises_only_declared_errors(tmp_path_factory, blob):
     path.write_bytes(blob)
     try:
         buf = read_wav(path)
-    except (WavFormatError, UnsupportedCodecError):
+    except (WavFormatError, UnsupportedCodecError, UnsupportedRateError):
         return
-    assert buf.sample_rate_hz > 0
+    assert audio_io.MIN_RATE_HZ <= buf.sample_rate_hz <= audio_io.MAX_RATE_HZ
     assert np.all(np.abs(buf.samples) <= 1.0)
 
 
@@ -200,6 +270,51 @@ class TestResample:
         out = resample(buf, 16000)
         assert np.array_equal(out.samples, buf.samples)
         assert out.samples is not buf.samples
+
+
+def _resample_poly(x: np.ndarray, source_hz: int, target_hz: int) -> np.ndarray:
+    """scipy's resample_poly with resample's filter: the reference output."""
+    g = math.gcd(source_hz, target_hz)
+    up, down = target_hz // g, source_hz // g
+    return resample_poly(x, up, down, window=np.array(audio_io._design_resample_filter(up, down)))
+
+
+def _output_len(n: int, source_hz: int) -> int:
+    return -(-n * 16000 // source_hz)
+
+
+@pytest.fixture
+def reset_threads():
+    yield
+    parallel.set_threads(None)
+
+
+@pytest.mark.parametrize("source_hz", [8000, 22050, 44100, 48000])
+def test_chunked_resample_is_resample_poly_bit_for_bit(monkeypatch, reset_threads, source_hz):
+    # Chunks of at least 50 outputs: every input length whose output is one
+    # sample around 2, 3 or 5 whole chunks, so that chunk edges fall at each
+    # phase of the filter, on 1, 2, 3 and 5 threads.
+    monkeypatch.setattr(audio_io, "MIN_RESAMPLE_CHUNK", 50)
+    rng = np.random.default_rng(source_hz)
+    targets = {k * 50 + d for k in (2, 3, 5) for d in (-1, 0, 1)}
+    lengths = [n for n in range(1, 5 * 50 * source_hz // 16000 + source_hz // 1000)
+               if _output_len(n, source_hz) in targets]
+    for n in lengths + [3 * source_hz + 7]:
+        x = rng.uniform(-1.0, 1.0, n)
+        want = _resample_poly(x, source_hz, 16000)
+        for count in (1, 2, 3, 5):
+            parallel.set_threads(count)
+            got = resample(AudioBuffer(x, source_hz), 16000).samples
+            assert got.tobytes() == want.tobytes(), (n, count)
+
+
+def test_resample_splits_a_clip_at_the_default_chunk_size(reset_threads):
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, 4 * 48000 + 1)
+    want = _resample_poly(x, 48000, 16000)
+    assert len(want) > 5 * audio_io.MIN_RESAMPLE_CHUNK
+    for count in (2, 5):
+        parallel.set_threads(count)
+        assert resample(AudioBuffer(x, 48000), 16000).samples.tobytes() == want.tobytes()
 
 
 class TestAudioBuffer:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vadpipe import parallel
-from vadpipe.audio_io import write_wav
+from vadpipe.audio_io import PIPELINE_RATE_HZ, AudioBuffer, write_wav
 from vadpipe.cli import (CONFIG_KEYS, build_parser, build_pipeline_config, format_config,
                          main, parse_config_file)
 from vadpipe.pipeline import MAX_SEGMENT_MS, MODES, SCORER_BACKENDS, PipelineConfig
@@ -146,6 +146,15 @@ class TestDetectCommand:
         assert proc.returncode == 2
         assert "hop_ms must be positive" in proc.stderr and "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("frame_ms", ["0.02", "0.04"])
+    def test_scorer_hop_below_one_sample_is_usage_error(self, tmp_path, frame_ms):
+        # 0.02 ms is 0.32 samples at 16 kHz: refused before any clip is read
+        proc = run_cli("detect", "--mode", "vad1", "--frame-ms", frame_ms, "--hop-ms", "0.02",
+                       str(tmp_path / "never_read.wav"))
+        assert proc.returncode == 2
+        assert "holds no whole sample" in proc.stderr and "Traceback" not in proc.stderr
+        assert "never_read" not in proc.stderr and proc.stdout == ""
+
     def test_json_lines_output(self, tmp_path, capsys):
         wav = tmp_path / "s.wav"
         write_wav(make_buffer(np.zeros(16000)), wav)
@@ -181,6 +190,16 @@ class TestDetectCommand:
         assert main(["detect", "--mode", "vad2", str(wav)]) == 1
         out = capsys.readouterr()
         assert out.out == "" and "non-finite" in out.err
+
+    def test_unsupported_rate_fails_clip_without_traceback(self, tmp_path):
+        # a 1 Hz WAV was once upsampled to 16 kHz and labelled
+        wav = tmp_path / "one_hz.wav"
+        write_wav(AudioBuffer(np.zeros(8), 1), wav)
+        proc = run_cli("detect", "--mode", "vad1", str(wav))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith(f"error: {wav}: ")
+        assert "sample rate 1 Hz outside the supported 8000-192000 Hz" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("mode", ["baseline", "vad1"])
     def test_bad_score_header_fails_clip(self, tmp_path, capsys, mode):
@@ -313,7 +332,8 @@ class TestConfigHandling:
 
 positive = st.floats(min_value=0.0, exclude_min=True, max_value=1e9,
                      allow_nan=False, allow_infinity=False)
-frame_lengths = st.floats(min_value=0.0, exclude_min=True, max_value=MAX_FRAME_MS)
+# from one sample at the pipeline rate: a shorter hop is refused
+frame_lengths = st.floats(min_value=1000.0 / PIPELINE_RATE_HZ, max_value=MAX_FRAME_MS)
 pipeline_configs = st.builds(
     PipelineConfig,
     mode=st.sampled_from(MODES),

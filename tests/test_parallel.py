@@ -74,6 +74,17 @@ def test_outcome_independent_of_thread_count(clip, mode):
         assert outcome(run_pipeline(buf, cfg)) == want, count
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 5])
+def test_whole_clip_score_is_bit_for_bit_at_any_thread_count(count):
+    # score() transforms its frames as parallel chunks; score_rows in one call
+    buf = CLIPS["uneven_baseline_frames"]()
+    sc = scorer.ReferenceScorer()
+    want = sc.score_rows(buf.samples[None], SR)[0]
+    assert len(want) == 503 and len(want) >= 2 * scorer.MIN_CHUNK_FRAMES
+    parallel.set_threads(count)
+    assert sc.score(buf).scores.tobytes() == want.tobytes()
+
+
 def test_chunk_bounds_cover_in_order():
     for count in range(1, 30):
         for parts in range(1, count + 1):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from vadpipe.aggregate import decide_segment
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
                               run_pipeline_on_scores, segment, segment_rows)
-from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer
+from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer, slice_scores
 from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
 
 from conftest import make_buffer
@@ -114,6 +115,18 @@ class TestRunPipelineOnScores:
         cfg = PipelineConfig(mode="vad1", thresh=2.0, scorer_backend="score-file")
         result = run_pipeline_on_scores(m, cfg)
         assert result.decision.per_segment == (0, 1, 0)
+
+    # even spans; spans of 4 and 5 rows; one-row spans, the last past the end
+    @pytest.mark.parametrize("frame_ms, segment_ms", [(10.0, 200.0), (7.0, 33.0), (12.5, 5.0)])
+    def test_uneven_spans_match_each_segment_alone(self, frame_ms, segment_ms, rng):
+        # aggregated as one zero-padded block, each segment gets its own
+        # value bit for bit
+        m = FrameScoreMatrix(rng.exponential(1.0, (97, 5)), frame_ms)
+        cfg = PipelineConfig(mode="vad1", segment_ms=segment_ms, scorer_backend="score-file")
+        got = run_pipeline_on_scores(m, cfg).segment_values
+        want = [decide_segment(slice_scores(m, t * segment_ms, (t + 1) * segment_ms),
+                               cfg.thresh).value for t in range(len(got))]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_concentrated_speech_dilution_identity(self):
         # speech in k consecutive segments, zero elsewhere: the whole-matrix
