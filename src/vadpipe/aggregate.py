@@ -87,8 +87,7 @@ def segment_values(scores: np.ndarray, frames: np.ndarray | None = None) -> np.n
 
 def aggregate_score(m: FrameScoreMatrix) -> float:
     """Mean over frames of the summed channel scores (division by D only)."""
-    # segment_values without its sign check: a FrameScoreMatrix has none below 0
-    return float(_exact_sums(_exact_sums(m.scores))) / m.num_frames
+    return float(segment_values(m.scores))
 
 
 def decide_segment(m: FrameScoreMatrix | None, thresh: float,

@@ -66,7 +66,10 @@ def map_chunks(fn, count: int, min_chunk: int = 1) -> list:
     The calling thread runs the first chunk itself and the pool the rest;
     a chunk no pool thread has started by the time the caller is done, as
     when the host has not yet run that thread, the caller runs as well.
-    With one chunk, fn(0, count) runs inline. fn must not call map_chunks.
+    With one chunk, fn(0, count) runs inline. fn may call map_chunks in
+    turn (a pool thread scoring a long row splits its frames): nesting
+    cannot deadlock, because a caller waits only on chunks that have
+    started, and runs the unstarted ones itself.
     """
     parts = min(count // min_chunk, threads())
     if parts <= 1:
@@ -79,6 +82,6 @@ def map_chunks(fn, count: int, min_chunk: int = 1) -> list:
             if futures[i - 1].cancel():
                 results[i] = fn(*bounds[i])
     except BaseException:
-        wait(futures)   # no chunk may outlive the call that owns its arrays
+        wait([f for f in futures if not f.cancel()])   # none outlives its arrays
         raise
     return [results[i] if i in results else futures[i - 1].result() for i in range(parts)]

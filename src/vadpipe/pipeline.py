@@ -7,14 +7,15 @@ preprocessing on every segment. A clip's segments travel as one zero-padded
 (T, seg_len) array through pre-processing and scoring, split into one
 contiguous chunk of rows per CPU (`parallel.map_chunks`), and each chunk
 also reduces its rows' scores to their segment values; the results are the
-same as running each segment on its own, on any number of CPUs.
+same as running each segment on its own, on any number of CPUs. The
+baseline's clip is the one-row case, a (1, n) array; a row of at least
+2 * scorer.MIN_CHUNK_FRAMES frames also splits its frames across CPUs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
 
 import numpy as np
 
@@ -109,9 +110,9 @@ def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
     return [AudioBuffer(row, buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
 
 
-def _decide(scores: Iterable[SegmentScore], cfg: PipelineConfig) -> PipelineResult:
-    """Segment scores -> labels -> vote -> final label."""
-    scores = tuple(scores)
+def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:
+    """Segment values -> labels -> vote -> final label."""
+    scores = tuple(decide_segment(None, cfg.thresh, v) for v in values.tolist())
     labels = tuple(s.label for s in scores)
     windows = vote_with_fallback(labels, cfg.vote)
     return PipelineResult(VadDecision(labels, tuple(windows), final_decision(windows)),
@@ -120,12 +121,9 @@ def _decide(scores: Iterable[SegmentScore], cfg: PipelineConfig) -> PipelineResu
 
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     """Detect speech in one clip (expected to be at the pipeline rate); the
-    baseline scores it whole, as one segment that is its own vote."""
+    baseline's one row is the whole clip, a segment that is its own vote."""
     scorer = cfg.scoring
-    if not cfg.vote_enabled:
-        return _decide([decide_segment(scorer.score(buf), cfg.thresh)], cfg)
-
-    rows = segment_rows(buf, cfg.segment_ms)
+    rows = segment_rows(buf, cfg.segment_ms) if cfg.vote_enabled else buf.samples[None]
     rate = buf.sample_rate_hz
     # Looked up here: the chunks run on pool threads, which must not call
     # anything a caller may have wrapped.
@@ -141,9 +139,8 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
             values.append(segment_values(scorer.score_rows(block, rate, filterbank)))
         return values
 
-    values = np.concatenate([v for chunk in parallel.map_chunks(value_chunk, len(rows))
-                             for v in chunk])
-    return _decide((decide_segment(None, cfg.thresh, v) for v in values.tolist()), cfg)
+    return _decide(np.concatenate([v for chunk in parallel.map_chunks(value_chunk, len(rows))
+                                   for v in chunk]), cfg)
 
 
 def run_pipeline_on_scores(matrix: FrameScoreMatrix,
@@ -151,18 +148,15 @@ def run_pipeline_on_scores(matrix: FrameScoreMatrix,
     """Detect speech from an externally computed score matrix.
 
     Preprocessing does not apply here; the scores are already fixed. Segments
-    map onto row spans of the matrix using its frame duration, and are
-    aggregated as one block zero-padded to the longest span.
+    map onto row spans of the matrix using its frame duration (the
+    baseline's one span is the whole matrix), and are aggregated as one
+    block zero-padded to the longest span.
     """
-    if not cfg.vote_enabled:
-        return _decide([decide_segment(matrix, cfg.thresh)], cfg)
-    total_ms = matrix.num_frames * matrix.frame_duration_ms
-    count = max(1, math.ceil(total_ms / cfg.segment_ms))
-    spans = [slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms).scores
-             for t in range(count)]
+    count = math.ceil(matrix.num_frames * matrix.frame_duration_ms / cfg.segment_ms)
+    spans = ([slice_scores(matrix, t * cfg.segment_ms, (t + 1) * cfg.segment_ms).scores
+              for t in range(max(1, count))] if cfg.vote_enabled else [matrix.scores])
     frames = np.array([len(s) for s in spans])
-    block = np.zeros((count, frames.max(), matrix.num_channels))
+    block = np.zeros((len(spans), frames.max(), matrix.num_channels))
     for row, span in zip(block, spans):
         row[:len(span)] = span
-    return _decide((decide_segment(None, cfg.thresh, v)
-                    for v in segment_values(block, frames).tolist()), cfg)
+    return _decide(segment_values(block, frames), cfg)

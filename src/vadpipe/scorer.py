@@ -27,7 +27,10 @@ MIN_FFT_LEN = 512
 # The longest frame a scorer may ask for. Each frame is transformed whole, so
 # memory grows with it: a one-second frame at 16 kHz takes 16,384 points.
 MAX_FRAME_MS = 1000.0
-# ReferenceScorer.score splits a buffer's frames across threads only in
+# The most mel bands a scorer may ask for: more leave some band with no FFT
+# bin at the pipeline rate and MIN_FFT_LEN points (longer frames add bins).
+MAX_BANDS = 114
+# ReferenceScorer.score_rows splits its rows' frames across threads only in
 # chunks of at least this many: below ~100 frames per chunk the hand-off
 # costs more than the second CPU saves (2-vCPU Xeon VM: 200 frames 0.99 ->
 # 0.81 ms, 100 frames 0.51 -> 0.54 ms, 25 frames 0.12 -> 0.23 ms, medians).
@@ -118,6 +121,8 @@ class ReferenceScorer:
             raise ValueError(f"hop_ms must not exceed frame_ms: {self.hop_ms} > {self.frame_ms}")
         if self.bands < 1:
             raise ValueError(f"bands must be >= 1, got {self.bands}")
+        if self.bands > MAX_BANDS:
+            raise ValueError(f"bands must be at most {MAX_BANDS}, got {self.bands}")
         # hop_ms <= frame_ms, so a hop of at least one sample means a frame
         # of at least one too.
         if self._geometry(PIPELINE_RATE_HZ)[1] < 1:
@@ -135,23 +140,9 @@ class ReferenceScorer:
         return mel_filterbank(self.bands, self._geometry(sample_rate_hz)[2], sample_rate_hz)
 
     def score(self, seg: AudioBuffer) -> FrameScoreMatrix:
-        """Scores of one whole buffer.
-
-        Its frames are windowed and transformed as parallel chunks of at
-        least MIN_CHUNK_FRAMES (see parallel.map_chunks); the mel projection
-        runs over all frames at once, so the result does not depend on the
-        chunking.
-        """
-        frame_len, hop, fft_len = self._geometry(seg.sample_rate_hz)
-        fb = self.filterbank(seg.sample_rate_hz)
-        frames = dsp.frame_rows(seg.samples[None], frame_len, hop, key="score.padded")
-        power = dsp.scratch("score.power", frames.shape[:-1] + (fft_len // 2 + 1,))
-
-        def chunk(start, stop):
-            _power(frames[:, start:stop], fft_len, power[:, start:stop])
-
-        parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)
-        return FrameScoreMatrix(_log_mel_excess(power, fb)[0], self.hop_ms)
+        """Scores of one whole buffer: score_rows' one-row case."""
+        return FrameScoreMatrix(self.score_rows(seg.samples[None], seg.sample_rate_hz)[0],
+                                self.hop_ms)
 
     def score_rows(self, rows: np.ndarray, sample_rate_hz: int,
                    filterbank: np.ndarray | None = None) -> np.ndarray:
@@ -159,20 +150,25 @@ class ReferenceScorer:
 
         Each row gets its own noise floor, exactly as if scored alone.
         filterbank is this scorer's, when the caller has looked it up already.
+        Rows of at least 2 * MIN_CHUNK_FRAMES frames, such as the baseline's
+        whole clip, are windowed and transformed as parallel chunks of frames
+        (parallel.map_chunks); the mel projection runs over all frames at
+        once, so the result does not depend on the chunking.
         """
         frame_len, hop, fft_len = self._geometry(sample_rate_hz)
         if filterbank is None:
             filterbank = self.filterbank(sample_rate_hz)
         frames = dsp.frame_rows(rows, frame_len, hop, key="score_rows.grid")
         power = dsp.scratch("score_rows.power", frames.shape[:-1] + (fft_len // 2 + 1,))
-        _power(frames, fft_len, power)
+
+        def chunk(start, stop):
+            out = power[:, start:stop]
+            np.abs(dsp.rfft_frames(frames[:, start:stop], fft_len, _hanning(frame_len),
+                                   key="score.spectra"), out=out)
+            np.square(out, out=out)
+
+        parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)
         return _log_mel_excess(power, filterbank)
-
-
-def _power(frames: np.ndarray, fft_len: int, out: np.ndarray) -> None:
-    spectra = dsp.rfft_frames(frames, fft_len, _hanning(frames.shape[-1]), key="score.spectra")
-    np.abs(spectra, out=out)
-    np.square(out, out=out)
 
 
 @functools.lru_cache(maxsize=16)

@@ -24,6 +24,10 @@ NOISE_KINDS = ("white", "pink", "babble")
 DEFAULT_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 
 _SILENT_POWER = 1e-16
+# generate_corpus's clip seconds. Clean speech starts at 0.25-0.3 s, maybe in a
+# syllabic notch: of 3,000 seeds, 15 clips of 0.35 s were silent, none of 0.37 s.
+MIN_DURATION_S = 0.5
+MAX_DURATION_S = 600.0   # ten minutes: a clip is held as a few float64 arrays
 # A clip's samples are filled as parallel chunks of at least this many
 # samples (see parallel.map_chunks); shorter clips run inline. On a 2-vCPU
 # Xeon VM two chunks of 16,384 samples beat one inline pass for every
@@ -283,6 +287,9 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
         raise ValueError(f"counts must be nonnegative and sum > 0, got {counts}")
     if not snr_list:
         raise ValueError("snr_list must not be empty")
+    if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:   # NaN fails too
+        raise ValueError(f"duration must be in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}] s, "
+                         f"got {duration_s:g}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

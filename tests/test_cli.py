@@ -18,7 +18,8 @@ from vadpipe.cli import (CONFIG_KEYS, build_parser, build_pipeline_config, forma
 from vadpipe.pipeline import MAX_SEGMENT_MS, MODES, SCORER_BACKENDS, PipelineConfig
 from vadpipe.postprocess import VoteConfig
 from vadpipe.preprocess import STAGE_NAMES, PreprocessConfig
-from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer, write_scores
+from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
+                            write_scores)
 
 from conftest import make_buffer
 
@@ -63,6 +64,20 @@ class TestSynthCommand:
 
     def test_missing_out_is_usage_error(self):
         assert main(["synth", "--clips", "3"]) == 2
+
+    @pytest.mark.parametrize("value", ["0.2", "0", "-1", "nan", "1e9"])
+    def test_bad_duration_is_usage_error(self, tmp_path, capsys, value):
+        out = tmp_path / "c"
+        assert main(["synth", "--clips", "1", "--duration", value, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "duration must be in [0.5, 600] s" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_zero_duration_exits_without_traceback_or_warning(self, tmp_path):
+        proc = run_cli("synth", "--clips", "1", "--duration", "0", "--out", str(tmp_path / "c"))
+        assert proc.returncode == 2
+        assert "duration must be in" in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 class TestDetectCommand:
@@ -133,6 +148,7 @@ class TestDetectCommand:
         (["--hop-ms", "25.5"], "hop_ms must not exceed frame_ms"),
         (["--segment-ms", "1e9"], "segment_ms must be at most 60000"),
         (["--frame-ms", "1e6"], "frame_ms must be at most 1000"),
+        (["--bands", "2000000"], f"bands must be at most {MAX_BANDS}"),
     ])
     def test_setting_out_of_range_is_usage_error(self, tmp_path, capsys, flags, message):
         # refused before any clip is read, so no segment rows are allocated
@@ -353,7 +369,7 @@ pipeline_configs = st.builds(
     scorer_backend=st.sampled_from(SCORER_BACKENDS),
     # the longer of two lengths is the frame: a hop may not exceed it
     scoring=st.builds(lambda bands, a, b: ReferenceScorer(bands, max(a, b), min(a, b)),
-                      st.integers(1, 128), frame_lengths, frame_lengths),
+                      st.integers(1, MAX_BANDS), frame_lengths, frame_lengths),
 )
 
 

@@ -1,7 +1,7 @@
 """run_pipeline's per-CPU chunks and the per-thread scratch store.
 
-A clip's rows (or, for the baseline, its frames) run as one chunk per
-thread. The outcome must not depend on the thread count, pool threads must
+A clip's rows run as one chunk per thread, and a row of many frames (the
+baseline's whole clip, or a long segment) splits its frames as well. The outcome must not depend on the thread count, pool threads must
 not call anything perfbench's tracer wraps, a forked process must run its
 chunks on a pool of its own, and no result may share memory with scratch.
 """
@@ -62,23 +62,31 @@ CLIPS = {
 }
 
 
+# 200 ms rows hold 19 frames and score inline in their row chunk; 2.5 s rows
+# hold 249, so each row chunk splits their frames again (nested map_chunks).
+SEGMENT_MS = (200.0, 2500.0)
+
+
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("clip", sorted(CLIPS))
 def test_outcome_independent_of_thread_count(clip, mode):
     buf = CLIPS[clip]()
-    cfg = PipelineConfig(mode=mode, thresh=THRESH)
-    parallel.set_threads(1)
-    want = outcome(run_pipeline(buf, cfg))
-    for count in (2, 3, 5):
-        parallel.set_threads(count)
-        assert outcome(run_pipeline(buf, cfg)) == want, count
+    for segment_ms in SEGMENT_MS:
+        cfg = PipelineConfig(mode=mode, thresh=THRESH, segment_ms=segment_ms)
+        parallel.set_threads(1)
+        want = outcome(run_pipeline(buf, cfg))
+        for count in (2, 3, 5):
+            parallel.set_threads(count)
+            assert outcome(run_pipeline(buf, cfg)) == want, (segment_ms, count)
 
 
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_whole_clip_score_is_bit_for_bit_at_any_thread_count(count):
-    # score() transforms its frames as parallel chunks; score_rows in one call
+    # score() transforms its frames as parallel chunks; the reference runs
+    # them inline, on one thread
     buf = CLIPS["uneven_baseline_frames"]()
     sc = scorer.ReferenceScorer()
+    parallel.set_threads(1)
     want = sc.score_rows(buf.samples[None], SR)[0]
     assert len(want) == 503 and len(want) >= 2 * scorer.MIN_CHUNK_FRAMES
     parallel.set_threads(count)
@@ -109,6 +117,37 @@ def test_map_chunks_joins_in_order_and_propagates_errors():
 
     with pytest.raises(RuntimeError, match="chunk failed"):
         parallel.map_chunks(fail_late, 9)
+
+
+def _nested(fail: bool):
+    def outer(lo, hi):
+        if lo == 0:  # a pool thread has time to start the other outer chunk
+            time.sleep(0.2)
+
+        def inner(a, b):
+            if fail and lo > 0 and a == 0:
+                raise RuntimeError("inner chunk failed")
+            return lo + a, lo + b
+
+        return parallel.map_chunks(inner, hi - lo)
+
+    return parallel.map_chunks(outer, 8)
+
+
+def test_nested_map_chunks_joins_in_order_and_propagates_errors():
+    # On two threads the pool has one thread, which runs the second outer
+    # chunk; its inner chunks cannot start on the pool, so it runs them
+    # itself. When the first of them fails, the second must be cancelled
+    # rather than waited on, or the call never returns.
+    parallel.set_threads(2)
+    caller = ThreadPoolExecutor(max_workers=1)   # a hang then fails the test
+    try:
+        assert caller.submit(_nested, False).result(timeout=60) == [
+            [(0, 2), (2, 4)], [(4, 6), (6, 8)]]
+        with pytest.raises(RuntimeError, match="inner chunk failed"):
+            caller.submit(_nested, True).result(timeout=60)
+    finally:
+        caller.shutdown(wait=False)
 
 
 def test_concurrent_callers_get_their_own_results():
@@ -177,6 +216,9 @@ def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     buf = noisy(int(2.3 * SR))
     for mode in MODES:
         pipeline.run_pipeline(buf, PipelineConfig(mode=mode, thresh=THRESH))
+    # run_pipeline scores through score_rows; perfbench's replay calls score,
+    # whose 228 frames split across the threads
+    scorer.ReferenceScorer().score(buf)
     manifest = generate_corpus(tmp_path, (1, 1, 1), (5.0,), seed=3, duration_s=1.0,
                                write_stems=False)
     evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from vadpipe.aggregate import decide_segment
+from vadpipe.aggregate import aggregate_score, decide_segment
+from vadpipe.audio_io import AudioBuffer
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
                               run_pipeline_on_scores, segment, segment_rows)
-from vadpipe.scorer import MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer, slice_scores
-from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
+from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
+                            slice_scores)
+from vadpipe.synth import (NOISE_KINDS, make_noise, mix_at_snr, speech_surrogate,
+                           white_noise)
 
 from conftest import make_buffer
 
@@ -101,11 +104,53 @@ class TestRunPipeline:
         assert run_pipeline(clip, PipelineConfig(mode="vad1", thresh=mid)).decision.final == 1
 
 
+# Label invariance under gain (ROADMAP item 5): RMS normalization and the
+# scorer's per-band percentile floor cancel a gain, except where band
+# energies come near the scorer's absolute _LOG_FLOOR (1e-10). Band-limited
+# signals reach it: babble's upper mel bands have median energies of 3e-5
+# down to 2e-12. With the floor at 1e-300 no label below changes.
+GAINS = (0.1, 0.3, 3.0, 5.0, 10.0)
+LOG_FLOOR_XFAIL = pytest.mark.xfail(
+    strict=True, reason="the absolute _LOG_FLOOR does not scale with the gain")
+
+
+@pytest.fixture(scope="module")
+def gain_clips() -> dict[str, AudioBuffer]:
+    clips = {"clean": speech_surrogate(np.random.default_rng([21, 0]), 8.0)}
+    for k, kind in enumerate(NOISE_KINDS):
+        rng = np.random.default_rng([21, 1, k])
+        speech = speech_surrogate(rng, 8.0)
+        clips[f"noisy_{kind}"] = mix_at_snr(speech, make_noise(kind, rng, 8.0, 16000, 0.05),
+                                            5.0)
+        rng = np.random.default_rng([21, 2, k])
+        clips[f"noise_{kind}"] = make_noise(kind, rng, 8.0, 16000, rng.uniform(0.02, 0.12))
+    return clips
+
+
+@pytest.mark.parametrize("mode", [pytest.param("baseline", marks=LOG_FLOOR_XFAIL),
+                                  pytest.param("vad1", marks=LOG_FLOOR_XFAIL), "vad2"])
+def test_labels_do_not_depend_on_gain(gain_clips, mode):
+    cfg = PipelineConfig(mode=mode, thresh=45.9)
+    for name, clip in gain_clips.items():
+        want = run_pipeline(clip, cfg).decision
+        for gain in GAINS:
+            got = run_pipeline(AudioBuffer(clip.samples * gain, clip.sample_rate_hz),
+                               cfg).decision
+            assert (got.per_segment, got.final) == (want.per_segment, want.final), (name, gain)
+
+
 class TestRunPipelineOnScores:
     def test_baseline_whole_matrix(self):
         m = FrameScoreMatrix(np.full((40, 2), 0.5), 10.0)  # aggregate = 1.0
         cfg = PipelineConfig(mode="baseline", thresh=1.0, scorer_backend="score-file")
         assert run_pipeline_on_scores(m, cfg).decision.final == 1
+
+    def test_baseline_value_is_the_whole_matrix_aggregate(self, rng):
+        # the baseline's one span goes through the voting modes' block code
+        m = FrameScoreMatrix(rng.exponential(1.0, (97, 5)), 10.0)
+        result = run_pipeline_on_scores(m, PipelineConfig(mode="baseline"))
+        assert [v.hex() for v in result.segment_values] == [aggregate_score(m).hex()]
+        assert len(result.decision.per_window) == 1
 
     def test_segments_map_to_row_spans(self):
         # 60 rows of 10 ms = 600 ms = 3 segments of 200 ms
@@ -195,6 +240,12 @@ class TestPipelineConfig:
     def test_rejects_bands_below_one(self, bands):
         with pytest.raises(ValueError, match="bands must be >= 1"):
             config_with("bands", bands)
+
+    def test_bands_have_a_maximum(self):
+        assert config_with("bands", MAX_BANDS).scoring.bands == MAX_BANDS
+        for bands in (MAX_BANDS + 1, 2_000_000):
+            with pytest.raises(ValueError, match=f"bands must be at most {MAX_BANDS}"):
+                config_with("bands", bands)
 
     @pytest.mark.parametrize("frame_ms,hop_ms", [(10.0, 20.0), (25.0, 25.000001)])
     def test_rejects_hop_longer_than_frame(self, frame_ms, hop_ms):

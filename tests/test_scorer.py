@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vadpipe import dsp
+from vadpipe.audio_io import PIPELINE_RATE_HZ
 from vadpipe.preprocess import rms_normalize
-from vadpipe.scorer import (FrameScoreMatrix, ReferenceScorer, ScoreDomainError,
-                            ScoreFormatError, _log_mel_excess, load_scores, mel_filterbank,
-                            slice_scores, write_scores)
+from vadpipe.scorer import (MAX_BANDS, MIN_FFT_LEN, FrameScoreMatrix, ReferenceScorer,
+                            ScoreDomainError, ScoreFormatError, _log_mel_excess, load_scores,
+                            mel_filterbank, slice_scores, write_scores)
 
 from conftest import make_buffer
 
@@ -30,6 +31,12 @@ class TestMelFilterbank:
     def test_every_band_has_support(self):
         fb = mel_filterbank(32, 512, 16000)
         assert np.all(fb.sum(axis=1) > 0)
+
+    def test_max_bands_is_the_most_with_support_at_the_pipeline_rate(self):
+        fb = mel_filterbank(MAX_BANDS, MIN_FFT_LEN, PIPELINE_RATE_HZ)
+        assert np.all(fb.sum(axis=1) > 0)
+        fb = mel_filterbank(MAX_BANDS + 1, MIN_FFT_LEN, PIPELINE_RATE_HZ)
+        assert not np.all(fb.sum(axis=1) > 0)
 
 
 class TestReferenceScorer:

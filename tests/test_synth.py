@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vadpipe.audio_io import AudioBuffer, read_wav
-from vadpipe.synth import (LABELS, Manifest, ManifestEntry, babble_noise,
+from vadpipe.synth import (LABELS, MIN_DURATION_S, Manifest, ManifestEntry, babble_noise,
                            generate_corpus, make_noise, measured_snr_db,
                            mix_at_snr, mix_at_snr_with_stems, pink_noise,
                            read_manifest, speech_surrogate, white_noise,
@@ -142,6 +142,19 @@ class TestGenerateCorpus:
     def test_empty_snr_list_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             generate_corpus(tmp_path / "c", (1, 1, 1), snr_list=())
+
+    @pytest.mark.parametrize("duration_s", [0.2, 0.0, -1.0, math.nan, math.inf, 1e9])
+    def test_duration_out_of_range_rejected_before_any_file(self, tmp_path, duration_s):
+        with pytest.raises(ValueError, match=r"duration must be in \[0.5, 600\] s"):
+            generate_corpus(tmp_path / "c", (1, 1, 1), duration_s=duration_s)
+        assert not (tmp_path / "c").exists()
+
+    def test_shortest_clean_clip_is_never_silent(self):
+        # a clean clip's speech starts at 0.25 s or later, so a shorter
+        # clip could be all zeros and still be labelled clean_speech
+        for i in range(300):
+            clip = speech_surrogate(np.random.default_rng([i, 0, 0]), MIN_DURATION_S)
+            assert np.any(clip.samples != 0.0), i
 
     def test_clips_are_readable_16k(self, tmp_path):
         manifest = generate_corpus(tmp_path / "c", (1, 1, 1), seed=2, duration_s=0.5)
