@@ -80,8 +80,8 @@ def segment_values(scores: np.ndarray, frames: np.ndarray | None = None) -> np.n
     sums, divided by the frame count. frames, when given, holds each
     segment's own frame count; its rows past that are zeros, which leave the
     sums unchanged."""
-    if np.any(scores < 0):
-        raise ValueError("scores must be nonnegative")
+    if not np.all(scores >= 0):
+        raise ValueError("scores must be nonnegative, not NaN")
     return _exact_sums(_exact_sums(scores)) / (scores.shape[-2] if frames is None else frames)
 
 

@@ -1,9 +1,10 @@
-"""WAV file ingestion/emission and sample-rate conversion.
+"""WAV file ingestion/emission, sample-rate conversion, and the pipeline rate.
 
-All pipeline audio is mono float64 in [-1, 1]. Files are RIFF/WAVE, PCM
-16-bit or IEEE float 32-bit (plain or WAVE_FORMAT_EXTENSIBLE), one or two
-channels, at MIN_RATE_HZ to MAX_RATE_HZ; anything else is rejected rather
-than guessed at.
+All pipeline audio is mono float64 in [-1, 1] at PIPELINE_RATE_HZ, the one
+rate the stages work in (see require_pipeline_audio); ensure_rate converts
+to it. Files are RIFF/WAVE, PCM 16-bit or IEEE float 32-bit (plain or
+WAVE_FORMAT_EXTENSIBLE), one or two channels, at MIN_RATE_HZ to MAX_RATE_HZ;
+anything else is rejected rather than guessed at.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import upfirdn
+from scipy.signal import resample_poly
 
 from . import parallel
 
@@ -173,46 +174,31 @@ def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64) -> np.
 def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
     """Band-limited resampling via a fixed polyphase windowed-sinc filter.
 
-    The samples are those of scipy.signal.resample_poly with this filter,
-    bit for bit. Contiguous output ranges of at least MIN_RESAMPLE_CHUNK
-    samples are filtered as parallel chunks (see parallel.map_chunks), each
-    from the input slice that holds every tap of its outputs.
+    The samples are scipy.signal.resample_poly's with this filter, bit for
+    bit; resample_poly owns the filter's placement. Output ranges of at least
+    MIN_RESAMPLE_CHUNK samples run as parallel chunks (parallel.map_chunks),
+    each through resample_poly on the input slice that holds all its taps.
     """
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
     if len(buf) == 0:
         raise ValueError("cannot resample an empty buffer")
-    if buf.sample_rate_hz == target_hz:
-        return AudioBuffer(buf.samples.copy(), target_hz)
 
     g = math.gcd(buf.sample_rate_hz, target_hz)
     up, down = target_hz // g, buf.sample_rate_hz // g
     x = buf.samples
     n_out = -(-len(x) * up // down)
-    # resample_poly's filter placement: the filter, scaled by up, is padded
-    # so that output k of upfirdn(h, x) lands at k + pre_remove.
     h = _design_resample_filter(up, down)
     half_len = (len(h) - 1) // 2
-    pre_pad = down - half_len % down
-    pre_remove = (half_len + pre_pad) // down
-    post_pad = 0
-    while ((len(x) - 1) * up + len(h) + pre_pad + post_pad - 1) // down + 1 \
-            < n_out + pre_remove:
-        post_pad += 1
-    h = np.concatenate((np.zeros(pre_pad), h * up, np.zeros(post_pad)))
-    # upfirdn computes output k from the inputs (k * down) // up - taps + 1
-    # through (k * down) // up, in that order, skipping any before the start.
-    taps = -(-len(h) // up)
     out = np.empty(n_out)
 
     def chunk(start: int, stop: int) -> None:
-        first = max(0, ((start + pre_remove) * down) // up - taps + 1)
-        last = ((stop - 1 + pre_remove) * down) // up
-        # Only a slice that starts at a multiple of down puts each output
-        # at the same polyphase phase as in the whole signal.
-        lo = first // down * down
-        skip = pre_remove + start - lo * up // down
-        out[start:stop] = upfirdn(h, x[lo:last + 1], up, down)[skip:skip + stop - start]
+        # Output k sits at input k * down / up with taps half_len / up inputs either
+        # side; a slice from a multiple of down keeps each output's filter phase.
+        lo = max(0, (start * down - half_len) // up) // down * down
+        hi = min(len(x), ((stop - 1) * down + half_len) // up + 1)
+        skip = start - lo // down * up
+        out[start:stop] = resample_poly(x[lo:hi], up, down, window=h)[skip:skip + stop - start]
 
     parallel.map_chunks(chunk, n_out, MIN_RESAMPLE_CHUNK)
     return AudioBuffer(out, target_hz)
@@ -223,3 +209,12 @@ def ensure_rate(buf: AudioBuffer, target_hz: int = PIPELINE_RATE_HZ) -> AudioBuf
     if buf.sample_rate_hz == target_hz:
         return buf
     return resample(buf, target_hz)
+
+
+def require_pipeline_audio(buf: AudioBuffer) -> None:
+    """Raise ValueError unless buf is at PIPELINE_RATE_HZ, with finite samples."""
+    if buf.sample_rate_hz != PIPELINE_RATE_HZ:
+        raise ValueError(f"expected {PIPELINE_RATE_HZ} Hz audio, got {buf.sample_rate_hz} Hz: "
+                         "convert it with audio_io.ensure_rate first")
+    if not np.isfinite(buf.samples).all():
+        raise ValueError("audio samples must be finite")

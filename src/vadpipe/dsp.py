@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer
 
 _DENOM_FLOOR = 1e-12
 # Scratch requests up to this size are kept for reuse; larger ones, such as
@@ -252,7 +252,7 @@ def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
     return weighted_overlap_add(frames, hop, out_len, window, key)
 
 
-def istft(spec: Stft, out_len: int, sample_rate_hz: int = 16000) -> AudioBuffer:
+def istft(spec: Stft, out_len: int, sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
     """Invert an STFT by weighted overlap-add with per-sample normalization."""
     return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len, spec.window),
                        sample_rate_hz)
@@ -273,7 +273,7 @@ def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int,
 
 
 def overlap_add(frames: np.ndarray, hop: int, out_len: int,
-                sample_rate_hz: int = 16000) -> AudioBuffer:
+                sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
     """overlap_add_rows for one signal's (num_frames, frame_len) frames."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:

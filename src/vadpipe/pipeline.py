@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parallel
-from .audio_io import AudioBuffer
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio
 from .aggregate import SegmentScore, decide_segment, segment_values
 from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
 # preprocess_segment is unused here but kept importable from this module:
@@ -64,6 +64,7 @@ class PipelineConfig:
         if self.segment_ms > MAX_SEGMENT_MS:
             raise ValueError(f"segment_ms must be at most {MAX_SEGMENT_MS:g}, "
                              f"got {self.segment_ms:g}")
+        _segment_len(self.segment_ms)
 
     @property
     def preprocess_enabled(self) -> bool:
@@ -91,15 +92,20 @@ class PipelineResult:
         return [s.value for s in self.segment_scores]
 
 
+def _segment_len(segment_ms: float) -> int:
+    seg_len = int(round(PIPELINE_RATE_HZ * segment_ms / 1000.0))
+    if seg_len < 1:
+        raise ValueError(f"segment_ms: a {segment_ms:g} ms segment at {PIPELINE_RATE_HZ} Hz "
+                         "holds no whole sample")
+    return seg_len
+
+
 def segment_rows(buf: AudioBuffer, segment_ms: float) -> np.ndarray:
-    """Non-overlapping segments as the rows of a (T, seg_len) array, the
-    last one zero-padded."""
+    """Non-overlapping segments of pipeline audio as the rows of a
+    (T, seg_len) array, the last one zero-padded."""
     if len(buf) == 0:
         raise ValueError("cannot segment an empty buffer")
-    seg_len = int(round(buf.sample_rate_hz * segment_ms / 1000.0))
-    if seg_len < 1:
-        raise ValueError(f"a {segment_ms} ms segment at {buf.sample_rate_hz} Hz "
-                         "holds no whole sample")
+    seg_len = _segment_len(segment_ms)
     rows = np.zeros((math.ceil(len(buf) / seg_len), seg_len))
     rows.reshape(-1)[: len(buf)] = buf.samples
     return rows
@@ -120,23 +126,23 @@ def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:
 
 
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
-    """Detect speech in one clip (expected to be at the pipeline rate); the
-    baseline's one row is the whole clip, a segment that is its own vote."""
+    """Detect speech in one clip of pipeline audio (see require_pipeline_audio);
+    the baseline's one row is the whole clip, a segment that is its own vote."""
+    require_pipeline_audio(buf)
     scorer = cfg.scoring
     rows = segment_rows(buf, cfg.segment_ms) if cfg.vote_enabled else buf.samples[None]
-    rate = buf.sample_rate_hz
     # Looked up here: the chunks run on pool threads, which must not call
     # anything a caller may have wrapped.
     noise = clip_noise_profile(buf, cfg.preprocess) if cfg.preprocess_enabled else None
-    filterbank = scorer.filterbank(rate)
+    filterbank = scorer.filterbank()
 
     def value_chunk(start: int, stop: int) -> list[np.ndarray]:
         values = []
         for lo in range(start, stop, ROW_BLOCK):
             block = rows[lo:min(lo + ROW_BLOCK, stop)]
             if noise is not None:
-                block = preprocess_rows_scratch(block, rate, cfg.preprocess, noise)
-            values.append(segment_values(scorer.score_rows(block, rate, filterbank)))
+                block = preprocess_rows_scratch(block, cfg.preprocess, noise)
+            values.append(segment_values(scorer.score_rows(block, filterbank)))
         return values
 
     return _decide(np.concatenate([v for chunk in parallel.map_chunks(value_chunk, len(rows))

@@ -65,6 +65,8 @@ def vote_windows(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
 
 def vote_with_fallback(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
     """vote_windows, degrading to one whole-input window when T < W."""
+    if len(labels) == 0:
+        raise ValueError("no labels to vote over")
     w, quorum = _window_and_quorum(len(labels), cfg)
     running = sum(labels[:w])
     out = [int(running >= quorum)]

@@ -14,16 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, require_pipeline_audio
 from . import dsp
 
 SILENCE_RMS_FLOOR = 1e-8
-# The fixed analysis geometry: a Hann STFT for spectral subtraction and its
-# noise estimate, and the energy gate's frames.
+# The fixed geometry in samples at the pipeline rate: a Hann STFT for spectral
+# subtraction and its noise estimate, and the energy gate's 25 ms / 10 ms frames.
 FFT_LEN = 512
 FFT_HOP = 128
-GATE_FRAME_MS = 25.0
-GATE_HOP_MS = 10.0
+GATE_FRAME_LEN = 400
+GATE_HOP = 160
 
 STAGE_NAMES = ("spectral_subtract", "energy_gate", "rms_normalize")
 
@@ -151,10 +151,8 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     return AudioBuffer(out.copy(), buf.sample_rate_hz)
 
 
-def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int) -> np.ndarray:
-    frame_len = int(round(sample_rate_hz * GATE_FRAME_MS / 1000.0))
-    hop = int(round(sample_rate_hz * GATE_HOP_MS / 1000.0))
-    frames = dsp.frame_rows(rows, frame_len, hop, key="energy_gate.grid")
+def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    frames = dsp.frame_rows(rows, GATE_FRAME_LEN, GATE_HOP, key="energy_gate.grid")
     gated = dsp.scratch("energy_gate.frames", frames.shape)
     energies = np.square(frames, out=gated).sum(axis=-1)
     theta = cfg.theta
@@ -162,13 +160,13 @@ def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, sample_rate_hz: int) -
         theta = theta * energies.mean(axis=-1, keepdims=True)
     np.copyto(gated, frames)
     gated[~(energies >= theta)] = 0.0
-    return dsp.overlap_add_rows(gated, hop, rows.shape[-1], key="energy_gate.out")
+    return dsp.overlap_add_rows(gated, GATE_HOP, rows.shape[-1], key="energy_gate.out")
 
 
 def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     """Zero frames whose energy falls below the threshold, then overlap-add."""
-    return AudioBuffer(_energy_gate(buf.samples, cfg, buf.sample_rate_hz).copy(),
-                       buf.sample_rate_hz)
+    require_pipeline_audio(buf)
+    return AudioBuffer(_energy_gate(buf.samples, cfg).copy(), buf.sample_rate_hz)
 
 
 def _rms_normalize(rows: np.ndarray, target: float) -> np.ndarray:
@@ -206,14 +204,13 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
 
 
-def preprocess_rows(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
-                    noise: NoiseProfile) -> np.ndarray:
+def preprocess_rows(rows: np.ndarray, cfg: PreprocessConfig, noise: NoiseProfile) -> np.ndarray:
     """Run the configured stages in order over every row of a (T, n) array;
     `noise` feeds the spectral-subtraction stage of every row."""
-    return np.array(preprocess_rows_scratch(rows, sample_rate_hz, cfg, noise))
+    return np.array(preprocess_rows_scratch(rows, cfg, noise))
 
 
-def preprocess_rows_scratch(rows: np.ndarray, sample_rate_hz: int, cfg: PreprocessConfig,
+def preprocess_rows_scratch(rows: np.ndarray, cfg: PreprocessConfig,
                             noise: NoiseProfile) -> np.ndarray:
     """preprocess_rows, leaving the result in this thread's scratch store:
     it is valid until the thread's next pre-processing call."""
@@ -224,7 +221,7 @@ def preprocess_rows_scratch(rows: np.ndarray, sample_rate_hz: int, cfg: Preproce
         if stage == "spectral_subtract":
             rows = _spectral_subtract(rows, cfg, noise.magnitude_spectrum)
         elif stage == "energy_gate":
-            rows = _energy_gate(rows, cfg, sample_rate_hz)
+            rows = _energy_gate(rows, cfg)
         elif stage == "rms_normalize":
             rows = _rms_normalize(rows, cfg.target_rms)
     return rows
@@ -234,9 +231,9 @@ def preprocess_segment(seg: AudioBuffer, cfg: PreprocessConfig,
                        noise: NoiseProfile | None = None) -> AudioBuffer:
     """Run the configured stages in order over one segment (see preprocess_rows),
     with the segment's own clip_noise_profile when given no profile."""
+    require_pipeline_audio(seg)
     if len(seg) == 0:
         raise ValueError("cannot preprocess an empty segment")
     if noise is None:
         noise = clip_noise_profile(seg, cfg)
-    return AudioBuffer(preprocess_rows(seg.samples[None], seg.sample_rate_hz, cfg, noise)[0],
-                       seg.sample_rate_hz)
+    return AudioBuffer(preprocess_rows(seg.samples[None], cfg, noise)[0], seg.sample_rate_hz)

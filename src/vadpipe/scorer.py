@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import PIPELINE_RATE_HZ, AudioBuffer
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio
 from .preprocess import require_finite
 from . import dsp, parallel
 
@@ -60,8 +60,8 @@ class FrameScoreMatrix:
         scores = np.asarray(self.scores, dtype=np.float64)
         if scores.ndim != 2 or scores.shape[0] < 1 or scores.shape[1] < 1:
             raise ValueError(f"scores must be a non-empty 2-D array, got {scores.shape}")
-        if np.any(scores < 0):
-            raise ValueError("scores must be nonnegative")
+        if not np.all(scores >= 0):
+            raise ValueError("scores must be nonnegative, not NaN")
         if self.frame_duration_ms <= 0:
             raise ValueError("frame_duration_ms must be positive")
         object.__setattr__(self, "scores", scores)
@@ -125,27 +125,26 @@ class ReferenceScorer:
             raise ValueError(f"bands must be at most {MAX_BANDS}, got {self.bands}")
         # hop_ms <= frame_ms, so a hop of at least one sample means a frame
         # of at least one too.
-        if self._geometry(PIPELINE_RATE_HZ)[1] < 1:
+        if self._geometry()[1] < 1:
             raise ValueError(f"hop_ms: a {self.hop_ms:g} ms hop at {PIPELINE_RATE_HZ} Hz "
                              "holds no whole sample")
 
-    def _geometry(self, sample_rate_hz: int) -> tuple[int, int, int]:
-        """(frame_len, hop, fft_len) in samples at the given rate."""
-        frame_len = int(round(sample_rate_hz * self.frame_ms / 1000.0))
-        return (frame_len, int(round(sample_rate_hz * self.hop_ms / 1000.0)),
+    def _geometry(self) -> tuple[int, int, int]:
+        """(frame_len, hop, fft_len) in samples at the pipeline rate."""
+        frame_len = int(round(PIPELINE_RATE_HZ * self.frame_ms / 1000.0))
+        return (frame_len, int(round(PIPELINE_RATE_HZ * self.hop_ms / 1000.0)),
                 max(MIN_FFT_LEN, 1 << (frame_len - 1).bit_length()))
 
-    def filterbank(self, sample_rate_hz: int) -> np.ndarray:
-        """This scorer's mel filterbank at the given rate (see mel_filterbank)."""
-        return mel_filterbank(self.bands, self._geometry(sample_rate_hz)[2], sample_rate_hz)
+    def filterbank(self) -> np.ndarray:
+        """This scorer's mel filterbank (see mel_filterbank)."""
+        return mel_filterbank(self.bands, self._geometry()[2], PIPELINE_RATE_HZ)
 
     def score(self, seg: AudioBuffer) -> FrameScoreMatrix:
         """Scores of one whole buffer: score_rows' one-row case."""
-        return FrameScoreMatrix(self.score_rows(seg.samples[None], seg.sample_rate_hz)[0],
-                                self.hop_ms)
+        require_pipeline_audio(seg)
+        return FrameScoreMatrix(self.score_rows(seg.samples[None])[0], self.hop_ms)
 
-    def score_rows(self, rows: np.ndarray, sample_rate_hz: int,
-                   filterbank: np.ndarray | None = None) -> np.ndarray:
+    def score_rows(self, rows: np.ndarray, filterbank: np.ndarray | None = None) -> np.ndarray:
         """Scores of every row of a (T, n) array: (T, frames, bands).
 
         Each row gets its own noise floor, exactly as if scored alone.
@@ -155,9 +154,9 @@ class ReferenceScorer:
         (parallel.map_chunks); the mel projection runs over all frames at
         once, so the result does not depend on the chunking.
         """
-        frame_len, hop, fft_len = self._geometry(sample_rate_hz)
+        frame_len, hop, fft_len = self._geometry()
         if filterbank is None:
-            filterbank = self.filterbank(sample_rate_hz)
+            filterbank = self.filterbank()
         frames = dsp.frame_rows(rows, frame_len, hop, key="score_rows.grid")
         power = dsp.scratch("score_rows.power", frames.shape[:-1] + (fft_len // 2 + 1,))
 

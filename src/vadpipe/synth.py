@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import parallel
-from .audio_io import AudioBuffer, write_wav
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, write_wav
 
 LABELS = ("clean_speech", "noisy_speech", "non_speech")
 NOISE_KINDS = ("white", "pink", "babble")
@@ -127,7 +127,7 @@ def _chunked(fill, n: int) -> np.ndarray:
 
 
 def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
-                     sample_rate_hz: int = 16000) -> AudioBuffer:
+                     sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
     """Harmonic stack with 4 Hz amplitude modulation and silence gaps.
 
     The activity pattern mimics a short spoken command: one burst of about
@@ -213,7 +213,7 @@ def _unsteady_envelope(rng: np.random.Generator, n: int,
 
 
 def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                sample_rate_hz: int = 16000, rms: float = 0.05) -> AudioBuffer:
+                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
     n = int(round(duration_s * sample_rate_hz))
     x = rng.standard_normal(n) * _unsteady_envelope(rng, n, sample_rate_hz)
     x *= rms / math.sqrt(_power(x))
@@ -221,7 +221,7 @@ def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
 
 
 def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
-               sample_rate_hz: int = 16000, rms: float = 0.05) -> AudioBuffer:
+               sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
     n = int(round(duration_s * sample_rate_hz))
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
@@ -233,7 +233,7 @@ def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
 
 
 def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                 sample_rate_hz: int = 16000, rms: float = 0.05,
+                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05,
                  voices: int = 8) -> AudioBuffer:
     """Sum of detuned continuous harmonic voices: speech-like spectrum,
     but no single voice dominates and the aggregate envelope stays steady."""
@@ -275,7 +275,7 @@ def make_noise(kind: str, rng: np.random.Generator, duration_s: float,
 
 def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
                     snr_list: tuple[float, ...] = DEFAULT_SNRS_DB, seed: int = 0,
-                    duration_s: float = 8.0, sample_rate_hz: int = 16000,
+                    duration_s: float = 8.0, sample_rate_hz: int = PIPELINE_RATE_HZ,
                     write_stems: bool = True) -> Manifest:
     """Write WAVs and a manifest for (clean, noisy, non-speech) counts.
 

@@ -21,10 +21,11 @@ from vadpipe.scorer import NOISE_FLOOR_PERCENTILE, mel_filterbank
 
 _DENOM_FLOOR = 1e-12
 # The analysis geometry, written out here rather than read from vadpipe.
+RATE_HZ = 16000
 FFT_LEN = 512
 FFT_HOP = 128
-GATE_FRAME_MS = 25.0
-GATE_HOP_MS = 10.0
+GATE_FRAME_LEN = 400
+GATE_HOP = 160
 
 
 def frames_of(x: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
@@ -90,13 +91,11 @@ def spectral_subtract(x: np.ndarray, cfg: PreprocessConfig,
     return out[pad:pad + len(x)]
 
 
-def energy_gate(x: np.ndarray, cfg: PreprocessConfig, sr: int) -> np.ndarray:
-    frame_len = int(round(sr * GATE_FRAME_MS / 1000.0))
-    hop = int(round(sr * GATE_HOP_MS / 1000.0))
-    frames = frames_of(x, frame_len, hop)
+def energy_gate(x: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    frames = frames_of(x, GATE_FRAME_LEN, GATE_HOP)
     energies = np.sum(frames ** 2, axis=1)
     theta = cfg.theta * float(energies.mean()) if cfg.theta_relative else cfg.theta
-    return overlap_add(np.where((energies >= theta)[:, None], frames, 0.0), hop, len(x))
+    return overlap_add(np.where((energies >= theta)[:, None], frames, 0.0), GATE_HOP, len(x))
 
 
 def rms_normalize(x: np.ndarray, target: float) -> np.ndarray:
@@ -106,26 +105,25 @@ def rms_normalize(x: np.ndarray, target: float) -> np.ndarray:
     return np.clip(x * (target / rms), -1.0, 1.0)
 
 
-def preprocess(x: np.ndarray, cfg: PreprocessConfig, sr: int,
-               noise: np.ndarray | None) -> np.ndarray:
+def preprocess(x: np.ndarray, cfg: PreprocessConfig, noise: np.ndarray | None) -> np.ndarray:
     for stage in cfg.stages:
         if stage == "spectral_subtract":
             x = spectral_subtract(x, cfg, noise)
         elif stage == "energy_gate":
-            x = energy_gate(x, cfg, sr)
+            x = energy_gate(x, cfg)
         elif stage == "rms_normalize":
             x = rms_normalize(x, cfg.target_rms)
     return x
 
 
-def score(x: np.ndarray, cfg: PipelineConfig, sr: int) -> np.ndarray:
-    frame_len = int(round(sr * cfg.scoring.frame_ms / 1000.0))
-    hop = int(round(sr * cfg.scoring.hop_ms / 1000.0))
+def score(x: np.ndarray, cfg: PipelineConfig) -> np.ndarray:
+    frame_len = int(round(RATE_HZ * cfg.scoring.frame_ms / 1000.0))
+    hop = int(round(RATE_HZ * cfg.scoring.hop_ms / 1000.0))
     fft_len = 512
     spectra = np.fft.rfft(frames_of(x, frame_len, hop) * np.hanning(frame_len),
                           n=fft_len, axis=1)
     power = np.abs(spectra) ** 2
-    fb = mel_filterbank(cfg.scoring.bands, fft_len, sr)
+    fb = mel_filterbank(cfg.scoring.bands, fft_len, RATE_HZ)
     log_energy = np.log(power @ fb.T + 1e-10)
     floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=0)
     return np.maximum(log_energy - floor, 0.0)
@@ -135,20 +133,20 @@ def aggregate(scores: np.ndarray) -> float:
     return math.fsum(math.fsum(row) for row in scores.tolist()) / len(scores)
 
 
-def oracle_pipeline(x: np.ndarray, sr: int, cfg: PipelineConfig) -> dict:
+def oracle_pipeline(x: np.ndarray, cfg: PipelineConfig) -> dict:
     """Segment values, labels, window votes and final label, one segment at a time."""
     if not cfg.vote_enabled:
-        value = aggregate(score(x, cfg, sr))
+        value = aggregate(score(x, cfg))
         label = int(value >= cfg.thresh)
         return {"values": [value], "labels": (label,), "windows": (label,), "final": label}
-    seg_len = int(round(sr * cfg.segment_ms / 1000.0))
+    seg_len = int(round(RATE_HZ * cfg.segment_ms / 1000.0))
     padded = np.zeros(math.ceil(len(x) / seg_len) * seg_len)
     padded[:len(x)] = x
     segments = [padded[i:i + seg_len] for i in range(0, len(padded), seg_len)]
     if cfg.preprocess_enabled:
         noise = noise_estimate(x, cfg.preprocess)
-        segments = [preprocess(s, cfg.preprocess, sr, noise) for s in segments]
-    values = [aggregate(score(s, cfg, sr)) for s in segments]
+        segments = [preprocess(s, cfg.preprocess, noise) for s in segments]
+    values = [aggregate(score(s, cfg)) for s in segments]
     labels = tuple(int(v >= cfg.thresh) for v in values)
     windows = tuple(vote_with_fallback(labels, cfg.vote))
     return {"values": values, "labels": labels, "windows": windows,

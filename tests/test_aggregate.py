@@ -147,6 +147,16 @@ def test_segment_values_rejects_negative_scores():
         segment_values(np.array([[[1.0, -1e-300]]]))
 
 
+def test_segment_values_rejects_nan_scores():
+    with pytest.raises(ValueError, match="not NaN"):
+        segment_values(np.array([[[np.nan, 1.0]]]))
+
+
+def test_nan_scores_get_no_label():
+    with pytest.raises(ValueError, match="not NaN"):
+        decide_segment(FrameScoreMatrix([[np.nan, 1.0]], 10.0), 45.9)
+
+
 def test_overflowing_sum_raises_like_fsum():
     with pytest.raises(OverflowError):
         segment_values(np.full((1, 2, 2), 1e308))

@@ -289,7 +289,7 @@ def reset_threads():
     parallel.set_threads(None)
 
 
-@pytest.mark.parametrize("source_hz", [8000, 22050, 44100, 48000])
+@pytest.mark.parametrize("source_hz", [8000, 11025, 22050, 44100, 48000, 96000, 192000])
 def test_chunked_resample_is_resample_poly_bit_for_bit(monkeypatch, reset_threads, source_hz):
     # Chunks of at least 50 outputs: every input length whose output is one
     # sample around 2, 3 or 5 whole chunks, so that chunk edges fall at each

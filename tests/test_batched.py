@@ -63,7 +63,7 @@ def outcome(result) -> dict:
 
 def assert_matches_oracle(buf: AudioBuffer, cfg: PipelineConfig) -> None:
     got = outcome(run_pipeline(buf, cfg))
-    want = oracle.oracle_pipeline(buf.samples, buf.sample_rate_hz, cfg)
+    want = oracle.oracle_pipeline(buf.samples, cfg)
     assert got["labels"] == want["labels"]
     assert got["windows"] == want["windows"]
     assert got["final"] == want["final"]
@@ -99,7 +99,7 @@ def test_all_silent_rows_pass_the_rms_floor():
     buf = make_buffer(samples)
     rows = segment_rows(buf, 200.0)
     cfg = PreprocessConfig()
-    out = preprocess_rows(rows, SR, cfg, clip_noise_profile(buf, cfg))
+    out = preprocess_rows(rows, cfg, clip_noise_profile(buf, cfg))
     assert np.all(out[3:5] == 0.0)
     assert np.sqrt(np.mean(out[6] ** 2)) == pytest.approx(cfg.target_rms)
     assert_matches_oracle(buf, vad2())
@@ -127,9 +127,9 @@ def test_rows_estimate_their_own_noise(stages):
     cfg = PreprocessConfig(stages=stages)
     buf = noisy_clip(1.1, seed=8)
     for row in segment_rows(buf, 200.0):
-        got = preprocess_rows(row[None], SR, cfg, clip_noise_profile(make_buffer(row), cfg))[0]
+        got = preprocess_rows(row[None], cfg, clip_noise_profile(make_buffer(row), cfg))[0]
         assert np.array_equal(got, preprocess_segment(make_buffer(row), cfg).samples)
-        want = oracle.preprocess(row, cfg, SR, oracle.noise_estimate(row, cfg))
+        want = oracle.preprocess(row, cfg, oracle.noise_estimate(row, cfg))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -153,5 +153,5 @@ def test_row_block_size_does_not_change_results(monkeypatch, block):
 
 def test_preprocess_rows_rejects_non_2d():
     with pytest.raises(ValueError):
-        preprocess.preprocess_rows(np.zeros(3200), SR, PreprocessConfig(),
+        preprocess.preprocess_rows(np.zeros(3200), PreprocessConfig(),
                                    NoiseProfile(np.zeros(257)))

@@ -104,13 +104,19 @@ class TestDetectCommand:
         assert main(["detect", "--mode", "vad1", str(missing)]) == 1
         assert "nope.wav" in capsys.readouterr().err
 
-    def test_segment_below_one_sample_fails_clip(self, tmp_path):
-        wav = tmp_path / "a.wav"
-        write_wav(make_buffer(np.zeros(1600)), wav)
-        proc = run_cli("detect", "--mode", "vad1", "--segment-ms", "0.01", str(wav))
-        assert proc.returncode == 1
-        assert proc.stderr.startswith(f"error: {wav}: ") and "no whole sample" in proc.stderr
+    def test_segment_below_one_sample_is_usage_error(self, tmp_path):
+        # 0.01 ms is 0.16 samples at 16 kHz: refused before any clip is read
+        proc = run_cli("detect", "--mode", "vad1", "--segment-ms", "0.01",
+                       str(tmp_path / "never_read.wav"))
+        assert proc.returncode == 2
+        assert "segment_ms: a 0.01 ms segment at 16000 Hz holds no whole sample" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert "never_read" not in proc.stderr and proc.stdout == ""
+
+    def test_segment_below_one_sample_is_refused_by_print_config(self, capsys):
+        assert main(["detect", "--segment-ms", "0.01", "--print-config"]) == 2
+        captured = capsys.readouterr()
+        assert "holds no whole sample" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize("flags", [
         ["--mode", "vad1", "--segment-ms", "inf"], ["--mode", "vad1", "--frame-ms", "inf"],
@@ -353,7 +359,8 @@ frame_lengths = st.floats(min_value=1000.0 / PIPELINE_RATE_HZ, max_value=MAX_FRA
 pipeline_configs = st.builds(
     PipelineConfig,
     mode=st.sampled_from(MODES),
-    segment_ms=st.floats(min_value=0.0, exclude_min=True, max_value=MAX_SEGMENT_MS),
+    # from one sample at the pipeline rate, as frame_lengths
+    segment_ms=st.floats(min_value=1000.0 / PIPELINE_RATE_HZ, max_value=MAX_SEGMENT_MS),
     thresh=st.floats(allow_nan=False, allow_infinity=False),
     preprocess=st.builds(
         PreprocessConfig,
@@ -377,7 +384,7 @@ class TestConfigTable:
     @settings(deadline=None)  # each example writes and reads a file
     @given(pipeline_configs)
     @example(PipelineConfig(preprocess=PreprocessConfig(alpha=1.23456789)))
-    @example(PipelineConfig(thresh=0.1 + 0.2, segment_ms=1e-7))
+    @example(PipelineConfig(thresh=0.1 + 0.2, segment_ms=1000.0 / PIPELINE_RATE_HZ))
     def test_format_parse_build_round_trips(self, tmp_path_factory, cfg):
         text = format_config(cfg)
         path = tmp_path_factory.mktemp("cfg") / "cfg.txt"

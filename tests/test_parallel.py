@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from vadpipe import dsp, evaluate, parallel, pipeline, preprocess, scorer
-from vadpipe.audio_io import AudioBuffer
+from vadpipe.audio_io import AudioBuffer, ensure_rate
 from vadpipe.pipeline import MODES, PipelineConfig, run_pipeline, segment_rows
 from vadpipe.preprocess import PreprocessConfig, clip_noise_profile
 from vadpipe.synth import generate_corpus, mix_at_snr, speech_surrogate, white_noise
@@ -58,7 +58,7 @@ CLIPS = {
     # of at least scorer.MIN_CHUNK_FRAMES for each thread count tried
     "uneven_baseline_frames": lambda: noisy(80720),
     "many_rows": lambda: noisy(int(4.13 * SR)),
-    "48_khz": lambda: noisy(int(1.7 * 48000), rate=48000),
+    "48_khz": lambda: ensure_rate(noisy(int(1.7 * 48000), rate=48000)),
 }
 
 
@@ -87,7 +87,7 @@ def test_whole_clip_score_is_bit_for_bit_at_any_thread_count(count):
     buf = CLIPS["uneven_baseline_frames"]()
     sc = scorer.ReferenceScorer()
     parallel.set_threads(1)
-    want = sc.score_rows(buf.samples[None], SR)[0]
+    want = sc.score_rows(buf.samples[None])[0]
     assert len(want) == 503 and len(want) >= 2 * scorer.MIN_CHUNK_FRAMES
     parallel.set_threads(count)
     assert sc.score(buf).scores.tobytes() == want.tobytes()
@@ -345,10 +345,10 @@ def _public_results(x: np.ndarray, rows: np.ndarray) -> dict:
         "spectral_subtract": preprocess.spectral_subtract(buf, cfg, noise).samples,
         "energy_gate": preprocess.energy_gate(buf, cfg).samples,
         "rms_normalize": preprocess.rms_normalize(buf, 0.1).samples,
-        "preprocess_rows": preprocess.preprocess_rows(rows, SR, cfg, noise),
+        "preprocess_rows": preprocess.preprocess_rows(rows, cfg, noise),
         "preprocess_segment": preprocess.preprocess_segment(buf, cfg, noise).samples,
         "score": sc.score(buf).scores,
-        "score_rows": sc.score_rows(rows, SR),
+        "score_rows": sc.score_rows(rows),
     }
 
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from vadpipe.aggregate import aggregate_score, decide_segment
-from vadpipe.audio_io import AudioBuffer
+from vadpipe.audio_io import AudioBuffer, ensure_rate
+from vadpipe.preprocess import PreprocessConfig, energy_gate, preprocess_segment
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
                               run_pipeline_on_scores, segment, segment_rows)
 from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
@@ -102,6 +103,39 @@ class TestRunPipeline:
         mid = (base_stat + vad1_stat) / 2
         assert run_pipeline(clip, PipelineConfig(mode="baseline", thresh=mid)).decision.final == 0
         assert run_pipeline(clip, PipelineConfig(mode="vad1", thresh=mid)).decision.final == 1
+
+
+# The pipeline's entry points take only 16 kHz audio with finite samples
+# (audio_io.require_pipeline_audio): their geometry is fixed in samples.
+GUARDED = {
+    "run_pipeline": lambda buf: run_pipeline(buf, PipelineConfig(mode="vad2")),
+    "score": lambda buf: ReferenceScorer().score(buf),
+    "energy_gate": lambda buf: energy_gate(buf, PreprocessConfig()),
+    "preprocess_segment": lambda buf: preprocess_segment(buf, PreprocessConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_audio_off_the_pipeline_rate_is_refused(name, rng):
+    buf = AudioBuffer(rng.standard_normal(48000) * 0.1, 48000)
+    with pytest.raises(ValueError, match="48000 Hz.*ensure_rate"):
+        GUARDED[name](buf)
+    GUARDED[name](ensure_rate(buf))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_non_finite_samples_are_refused(name, bad, rng):
+    samples = rng.standard_normal(16000) * 0.1
+    samples[5000] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        GUARDED[name](make_buffer(samples))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "vad1", "vad2"])
+def test_all_nan_clip_gets_no_label(mode):
+    with pytest.raises(ValueError, match="must be finite"):
+        run_pipeline(make_buffer(np.full(16000, np.nan)), PipelineConfig(mode=mode))
 
 
 # Label invariance under gain (ROADMAP item 5): RMS normalization and the

@@ -75,6 +75,10 @@ class TestVoteWithFallback:
         assert vote_with_fallback([1], VoteConfig(4)) == [1]
         assert vote_with_fallback([0], VoteConfig(4)) == [0]
 
+    def test_no_labels_get_no_vote(self):
+        with pytest.raises(ValueError, match="no labels"):
+            vote_with_fallback([], VoteConfig(4))
+
 
 class TestFinalDecision:
     def test_any_window_speech(self):

@@ -106,14 +106,14 @@ class TestFftLength:
     def test_frames_that_fit_512_points_are_scored_as_before(self, rng, frame_ms):
         scorer = ReferenceScorer(frame_ms=frame_ms, hop_ms=8.0)
         rows = rng.standard_normal((3, 3200)) * 0.1
-        assert scorer.filterbank(16000) is mel_filterbank(32, 512, 16000)
-        assert np.array_equal(scorer.score_rows(rows, 16000),
+        assert scorer.filterbank() is mel_filterbank(32, 512, 16000)
+        assert np.array_equal(scorer.score_rows(rows),
                               scores_with_fft_len(scorer, rows, 512))
 
     def test_a_40_ms_frame_is_transformed_whole(self, rng):
         scorer = ReferenceScorer(frame_ms=40.0)  # 640 samples at 16 kHz: 1024 points
         rows = rng.standard_normal((3, 3200)) * 0.1
-        assert np.array_equal(scorer.score_rows(rows, 16000),
+        assert np.array_equal(scorer.score_rows(rows),
                               scores_with_fft_len(scorer, rows, 1024))
         # An impulse 600 samples in: of the first frame, only its last 128
         # samples reach it, so a 512-point crop would score that frame 0.
@@ -126,6 +126,10 @@ class TestFrameScoreMatrix:
     def test_rejects_negative_scores(self):
         with pytest.raises(ValueError):
             FrameScoreMatrix(np.array([[0.5, -0.1]]), 10.0)
+
+    def test_rejects_nan_scores(self):
+        with pytest.raises(ValueError, match="not NaN"):
+            FrameScoreMatrix(np.array([[0.5, np.nan]]), 10.0)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
