@@ -101,4 +101,6 @@ def decide_segment(m: FrameScoreMatrix | None, thresh: float,
         if m is None:
             raise TypeError("decide_segment needs a score matrix or a value")
         value = aggregate_score(m)
+    if math.isnan(value):
+        raise ValueError("segment value must not be NaN")
     return SegmentScore(value, int(value >= thresh), thresh)

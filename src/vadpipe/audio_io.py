@@ -211,10 +211,15 @@ def ensure_rate(buf: AudioBuffer, target_hz: int = PIPELINE_RATE_HZ) -> AudioBuf
     return resample(buf, target_hz)
 
 
-def require_pipeline_audio(buf: AudioBuffer) -> None:
-    """Raise ValueError unless buf is at PIPELINE_RATE_HZ, with finite samples."""
+def require_pipeline_rate(buf: AudioBuffer) -> None:
+    """Raise ValueError unless buf is at PIPELINE_RATE_HZ."""
     if buf.sample_rate_hz != PIPELINE_RATE_HZ:
         raise ValueError(f"expected {PIPELINE_RATE_HZ} Hz audio, got {buf.sample_rate_hz} Hz: "
                          "convert it with audio_io.ensure_rate first")
+
+
+def require_pipeline_audio(buf: AudioBuffer) -> None:
+    """Raise ValueError unless buf is at PIPELINE_RATE_HZ, with finite samples."""
+    require_pipeline_rate(buf)
     if not np.isfinite(buf.samples).all():
         raise ValueError("audio samples must be finite")

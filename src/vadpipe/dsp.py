@@ -60,7 +60,6 @@ class Stft:
     frames: np.ndarray
     fft_len: int
     hop: int
-    window: str  # "hann" or "rect"
 
     def __post_init__(self):
         if self.frames.ndim != 2 or self.frames.shape[1] != self.fft_len // 2 + 1:
@@ -130,15 +129,10 @@ def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
 
 
 @functools.lru_cache(maxsize=16)
-def analysis_window(name: str, length: int) -> np.ndarray:
-    """The named analysis window, built once per (name, length); read-only."""
-    if name == "hann":
-        # periodic form, the right one for overlap-add at hop = length/4
-        win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
-    elif name == "rect":
-        win = np.ones(length)
-    else:
-        raise ValueError(f"unknown window {name!r}")
+def analysis_window(length: int) -> np.ndarray:
+    """The periodic Hann window, the right one for overlap-add at
+    hop = length/4; built once per length, read-only."""
+    win = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(length) / length)
     win.setflags(write=False)
     return win
 
@@ -171,18 +165,16 @@ def check_stft_geometry(fft_len: int, hop: int) -> None:
         raise ValueError(f"hop {hop} must divide fft_len {fft_len}")
 
 
-def stft_rows(rows: np.ndarray, fft_len: int = 512, hop: int = 128,
-              window: str = "hann") -> np.ndarray:
+def stft_rows(rows: np.ndarray, fft_len: int = 512, hop: int = 128) -> np.ndarray:
     """One-sided spectra of every frame of the last axis: (..., frames, bins)."""
     check_stft_geometry(fft_len, hop)
     frames = frame_rows(rows, fft_len, hop, key="stft_rows.grid")
-    return rfft_frames(frames, fft_len, analysis_window(window, fft_len))
+    return rfft_frames(frames, fft_len, analysis_window(fft_len))
 
 
-def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128,
-         window: str = "hann") -> Stft:
+def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128) -> Stft:
     """Forward STFT over zero-padded frames of the input."""
-    return Stft(stft_rows(buf.samples, fft_len, hop, window), fft_len, hop, window)
+    return Stft(stft_rows(buf.samples, fft_len, hop), fft_len, hop)
 
 
 def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
@@ -200,11 +192,8 @@ def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
 def _normaliser(weights: str, frame_len: int, hop: int, num: int):
     """(summed weights floored at _DENOM_FLOOR, samples where the sum
     vanishes or None) over a grid of num frames; read-only, built once."""
-    if weights == "crossfade":
-        den_win = _crossfade_window(frame_len)
-    else:
-        win = analysis_window(weights, frame_len)
-        den_win = win * win
+    den_win = (_crossfade_window(frame_len) if weights == "crossfade"
+               else analysis_window(frame_len) ** 2)
     blocks = num - 1 + -(-frame_len // hop)
     den = _shifted_add(np.zeros((blocks, hop)), np.broadcast_to(den_win, (num, frame_len)), hop)
     vanishing = den <= _DENOM_FLOOR
@@ -220,12 +209,12 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
     by the summed weights of the grid (0 where that sum vanishes).
 
     weights names the per-frame weighting: "crossfade" for frames weighted
-    by the cross-fade window, or an analysis window whose square weights
-    istft frames. The sum runs as ceil(frame_len / hop) shifted adds of
-    hop-wide pieces over all frames and rows at once, adding every sample's
-    frames in increasing order, as a frame-by-frame loop does, so each row's
-    result is bit-identical to that row overlap-added alone. The output is
-    cut or zero-padded to out_len samples.
+    by the cross-fade window, or "hann" for istft frames, whose weight is
+    the square of the analysis window. The sum runs as ceil(frame_len / hop)
+    shifted adds of hop-wide pieces over all frames and rows at once, adding
+    every sample's frames in increasing order, as a frame-by-frame loop
+    does, so each row's result is bit-identical to that row overlap-added
+    alone. The output is cut or zero-padded to out_len samples.
     """
     num, frame_len = weighted.shape[-2:]
     acc = _buffer(key, weighted.shape[:-2] + (num - 1 + -(-frame_len // hop), hop))
@@ -244,18 +233,17 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
 
 
 def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
-               window: str = "hann", key: str | None = None) -> np.ndarray:
+               key: str | None = None) -> np.ndarray:
     """Invert stft_rows: irfft per frame, then normalized overlap-add."""
     frames = scratch("istft_rows.frames", spectra.shape[:-1] + (fft_len,))
     np.fft.irfft(spectra, n=fft_len, axis=-1, out=frames)
-    frames *= analysis_window(window, fft_len)
-    return weighted_overlap_add(frames, hop, out_len, window, key)
+    frames *= analysis_window(fft_len)
+    return weighted_overlap_add(frames, hop, out_len, "hann", key)
 
 
 def istft(spec: Stft, out_len: int, sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
     """Invert an STFT by weighted overlap-add with per-sample normalization."""
-    return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len, spec.window),
-                       sample_rate_hz)
+    return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len), sample_rate_hz)
 
 
 def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int,

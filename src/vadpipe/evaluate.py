@@ -9,7 +9,7 @@ thresholds (`postprocess.vote_statistic`).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +18,7 @@ import numpy as np
 
 from . import parallel
 from .audio_io import ensure_rate, read_wav
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import PipelineConfig, PipelineResult, run_pipeline
 from .postprocess import vote_statistic
 from .synth import Manifest
 
@@ -107,30 +107,21 @@ def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> floa
     return vote_statistic(segment_values, cfg.vote)
 
 
-def _evaluate_clip(task: tuple[str, Sequence[PipelineConfig]]) -> list[tuple]:
-    """Worker: decode one clip once and run every config on it.
-
-    Returns one outcome per config, ('ok', values, final) or ('error', msg,
-    None). Any exception becomes that clip's error, so one bad clip cannot
-    abort the whole evaluation.
+def _evaluate_clip(path: str, cfgs: Sequence[PipelineConfig]) -> list[PipelineResult | str]:
+    """Decode one clip once and run every config on it: per config, its
+    PipelineResult or its error message. Any exception becomes that clip's
+    error, so one bad clip cannot abort the whole evaluation.
     """
-    path, cfgs = task
-    try:
-        buf = ensure_rate(read_wav(path))
-    except Exception as exc:
-        return [_clip_error(path, exc)] * len(cfgs)
-    outcomes = []
-    for cfg in cfgs:
+    def attempt(step):
         try:
-            result = run_pipeline(buf, cfg)
-            outcomes.append(("ok", result.segment_values, result.decision.final))
+            return step()
         except Exception as exc:
-            outcomes.append(_clip_error(path, exc))
-    return outcomes
+            return f"{path}: {type(exc).__name__}: {exc}"
 
-
-def _clip_error(path: str, exc: Exception) -> tuple:
-    return ("error", f"{path}: {type(exc).__name__}: {exc}", None)
+    buf = attempt(lambda: ensure_rate(read_wav(path)))
+    if isinstance(buf, str):
+        return [buf] * len(cfgs)
+    return [attempt(lambda: run_pipeline(buf, cfg)) for cfg in cfgs]
 
 
 def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
@@ -138,12 +129,11 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
              tpr_targets: Sequence[float] = (0.99,)) -> list[EvalReport]:
     """Score every manifest clip under every config and assemble reports.
 
-    Each clip is decoded once and scored under every config, in one task;
-    with jobs > 1 one process pool serves the whole evaluation, and each of
-    its workers runs a clip's chunks on its share of the CPUs,
-    max(1, cpus // jobs) threads. The ROC sweep reuses the cached per-clip
-    statistics. Output ordering and file bytes are independent of the
-    worker count.
+    Each clip is decoded once and scored under every config. At jobs = 1,
+    the only setting perfbench traces, the clips run one after another on
+    the calling thread; otherwise they run on jobs clip threads, each with
+    max(1, cpus // jobs) chunk threads. The ROC sweep reuses the cached
+    per-clip statistics. Output ordering and file bytes do not depend on jobs.
     """
     if not manifest.entries:
         raise ValueError("manifest has no entries")
@@ -153,28 +143,26 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
     if any(cfg.scorer_backend != "reference" for cfg in configs):
         raise ValueError("score files apply to detect only; eval scores WAVs "
                          "with the reference scorer")
-    tasks = [(str(manifest.resolve(e)), configs) for e in manifest.entries]
+    paths = [str(manifest.resolve(e)) for e in manifest.entries]
     if jobs == 1:
-        per_clip = [_evaluate_clip(t) for t in tasks]
+        per_clip = [_evaluate_clip(p, configs) for p in paths]
     else:
         share = max(1, parallel.threads() // jobs)
-        with ProcessPoolExecutor(max_workers=jobs, initializer=parallel.set_threads,
-                                 initargs=(share,)) as pool:
-            per_clip = list(pool.map(_evaluate_clip, tasks, chunksize=8))
+        with ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="vadpipe-clip",
+                                initializer=parallel.set_threads, initargs=(share,)) as pool:
+            per_clip = list(pool.map(_evaluate_clip, paths, [configs] * len(paths)))
 
     reports = []
     for i, cfg in enumerate(configs):
-        decisions = []
-        stats = []
-        errors = []
+        decisions, stats, errors = [], [], []
         for entry, outcomes in zip(manifest.entries, per_clip):
-            status, payload, final = outcomes[i]
-            if status == "error":
-                errors.append(payload)
+            result = outcomes[i]
+            if isinstance(result, str):
+                errors.append(result)
                 continue
-            decisions.append((final, entry.label))
+            decisions.append((result.decision.final, entry.label))
             truth = 1 if entry.label in SPEECH_LABELS else 0
-            stats.append((clip_statistic(payload, cfg), truth))
+            stats.append((clip_statistic(result.segment_values, cfg), truth))
 
         accuracy = class_accuracy(decisions) if decisions else {}
         truths = {t for _, t in stats}

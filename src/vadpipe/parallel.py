@@ -1,18 +1,23 @@
-"""One clip's work as contiguous chunks on a process-wide thread pool.
+"""One clip's work as contiguous chunks on a shared thread pool.
 
 numpy's FFTs and ufunc loops release the GIL, so the chunks of one clip run
 on separate CPUs. A chunk function does array work only: whatever it needs
 from elsewhere in the package (a filterbank, a noise profile) is resolved
 by the caller first, and the results come back in chunk order, so the
-outcome does not depend on the thread count.
+outcome does not depend on the thread count. Each thread has its own chunk
+budget (set_threads), and its chunks run on the pool under that budget:
+`eval --jobs N` runs N clip threads, each with max(1, cpus // N) chunk
+threads. At `--jobs 1`, the only setting perfbench traces, every function
+its tracer wraps runs on the calling thread.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
-_budget: int | None = None   # set_threads; None means every usable CPU
+_local = threading.local()   # .budget: set_threads; unset or None means every usable CPU
 _pool: ThreadPoolExecutor | None = None
 _pool_pid: int | None = None
 _pool_size = 0
@@ -28,17 +33,16 @@ def usable_cpus() -> int:
 
 
 def threads() -> int:
-    """Chunks per clip: the set_threads budget, else every usable CPU."""
-    return _budget or usable_cpus()
+    """Chunks per clip on this thread: its set_threads budget, else every usable CPU."""
+    return getattr(_local, "budget", None) or usable_cpus()
 
 
 def set_threads(count: int | None) -> None:
-    """Cap the chunks per clip in this process; None lifts the cap.
-
-    run_eval's worker processes call this with their share of the CPUs.
-    """
-    global _budget
-    _budget = count
+    """Set the calling thread's chunk budget, which the pool threads running
+    its chunks share; None means every usable CPU. `eval --jobs N` gives each
+    of its N clip threads max(1, cpus // N); at `--jobs 1`, the one setting
+    perfbench traces, the clips run on the calling thread, under its budget."""
+    _local.budget = count
 
 
 def _pool_with(workers: int) -> ThreadPoolExecutor:
@@ -46,7 +50,9 @@ def _pool_with(workers: int) -> ThreadPoolExecutor:
     # parent's pool object but none of its threads, so work submitted to it
     # would never start. A pool that is replaced is not shut down, as another
     # thread may be submitting to it; its threads exit once it is garbage.
+    # Clip threads share it: their budgets, less the chunk each runs itself, fit cpus - 1.
     global _pool, _pool_pid, _pool_size
+    workers = max(workers, usable_cpus() - 1)
     if _pool is None or _pool_pid != os.getpid() or _pool_size < workers:
         _pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="vadpipe")
         _pool_pid, _pool_size = os.getpid(), workers
@@ -61,21 +67,27 @@ def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
 
 def map_chunks(fn, count: int, min_chunk: int = 1) -> list:
     """[fn(start, stop) for each chunk of range(count)], one chunk per
-    thread, each at least min_chunk long.
+    thread of the caller's budget, each at least min_chunk long.
 
-    The calling thread runs the first chunk itself and the pool the rest;
-    a chunk no pool thread has started by the time the caller is done, as
-    when the host has not yet run that thread, the caller runs as well.
-    With one chunk, fn(0, count) runs inline. fn may call map_chunks in
-    turn (a pool thread scoring a long row splits its frames): nesting
-    cannot deadlock, because a caller waits only on chunks that have
-    started, and runs the unstarted ones itself.
+    The calling thread runs the first chunk itself and the pool the rest,
+    each under the caller's budget; a chunk no pool thread has started by
+    the time the caller is done, as when the host has not yet run that
+    thread, the caller runs as well. With one chunk, fn(0, count) runs
+    inline. fn may call map_chunks in turn (a pool thread scoring a long row
+    splits its frames): nesting cannot deadlock, because a caller waits only
+    on chunks that have started, and runs the unstarted ones itself.
     """
-    parts = min(count // min_chunk, threads())
+    budget = threads()
+    parts = min(count // min_chunk, budget)
     if parts <= 1:
         return [fn(0, count)]
+
+    def pooled(start: int, stop: int):   # a pool thread takes on the caller's budget
+        _local.budget = budget
+        return fn(start, stop)
+
     bounds = chunk_bounds(count, parts)
-    futures = [_pool_with(parts - 1).submit(fn, *b) for b in bounds[1:]]
+    futures = [_pool_with(parts - 1).submit(pooled, *b) for b in bounds[1:]]
     try:
         results = {0: fn(*bounds[0])}
         for i in reversed(range(1, parts)):   # the last submitted is the least likely started

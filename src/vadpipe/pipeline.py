@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import parallel
-from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio
+from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio, require_pipeline_rate
 from .aggregate import SegmentScore, decide_segment, segment_values
 from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
 # preprocess_segment is unused here but kept importable from this module:
@@ -102,7 +102,9 @@ def _segment_len(segment_ms: float) -> int:
 
 def segment_rows(buf: AudioBuffer, segment_ms: float) -> np.ndarray:
     """Non-overlapping segments of pipeline audio as the rows of a
-    (T, seg_len) array, the last one zero-padded."""
+    (T, seg_len) array, the last one zero-padded. It checks the rate only,
+    as run_pipeline has checked the samples."""
+    require_pipeline_rate(buf)
     if len(buf) == 0:
         raise ValueError("cannot segment an empty buffer")
     seg_len = _segment_len(segment_ms)

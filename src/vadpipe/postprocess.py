@@ -83,8 +83,8 @@ def vote_statistic(values: Sequence[float], cfg: VoteConfig) -> float:
     statistic is >= t, for every threshold t. A single value is its own
     statistic under every VoteConfig.
     """
-    if len(values) == 0:
-        raise ValueError("no values to vote over")
+    if len(values) == 0 or any(map(math.isnan, values)):
+        raise ValueError("need values to vote over, none of them NaN")
     w, quorum = _window_and_quorum(len(values), cfg)
     return max(sorted(values[i:i + w])[-quorum] for i in range(len(values) - w + 1))
 

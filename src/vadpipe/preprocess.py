@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioBuffer, require_pipeline_audio
+from .audio_io import AudioBuffer, require_pipeline_audio, require_pipeline_rate
 from . import dsp
 
 SILENCE_RMS_FLOOR = 1e-8
@@ -122,7 +122,7 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     padded[:, pad + n:length] = rows[:, n - 1 - pad:n - 1][:, ::-1]
     padded[:, length:] = 0.0
     frames = dsp.frame_view(padded[:, start:start + span], FFT_LEN, FFT_HOP)
-    spec = dsp.rfft_frames(frames, FFT_LEN, dsp.analysis_window("hann", FFT_LEN),
+    spec = dsp.rfft_frames(frames, FFT_LEN, dsp.analysis_window(FFT_LEN),
                            key="spectral_subtract.spectra")
     mag = np.abs(spec, out=dsp.scratch("spectral_subtract.mag", spec.shape))
     clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta,
@@ -145,6 +145,7 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     has full analysis-window coverage; otherwise modified edge frames get
     amplified by the tiny overlap-add weights there.
     """
+    require_pipeline_audio(buf)
     if noise is None:
         noise = clip_noise_profile(buf, cfg)
     out = _spectral_subtract(buf.samples[None], cfg, noise.magnitude_spectrum)[0]
@@ -186,6 +187,7 @@ def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
     Buffers below the silence floor pass through unchanged; there is nothing
     meaningful to scale and the division would blow up.
     """
+    require_pipeline_audio(buf)
     if target <= 0.0:
         raise ValueError(f"target must be positive, got {target}")
     return AudioBuffer(_rms_normalize(buf.samples, target).copy(), buf.sample_rate_hz)
@@ -197,8 +199,9 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
     Estimating once per clip keeps segments that are entirely speech from
     subtracting their own content; the clip lead-in is the best stand-in
     for the background the paper's method assumes. Only the samples the
-    leading frames cover are transformed.
-    """
+    leading frames cover are transformed. It checks the rate only, as
+    run_pipeline has checked the samples."""
+    require_pipeline_rate(buf)
     lead_in = (cfg.noise_frames - 1) * FFT_HOP + FFT_LEN
     spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz), FFT_LEN, FFT_HOP)
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))

@@ -157,6 +157,11 @@ def test_nan_scores_get_no_label():
         decide_segment(FrameScoreMatrix([[np.nan, 1.0]], 10.0), 45.9)
 
 
+def test_nan_value_gets_no_label():
+    with pytest.raises(ValueError, match="NaN"):
+        decide_segment(None, 45.9, float("nan"))
+
+
 def test_overflowing_sum_raises_like_fsum():
     with pytest.raises(OverflowError):
         segment_values(np.full((1, 2, 2), 1e308))

@@ -1,17 +1,18 @@
-"""run_pipeline's per-CPU chunks and the per-thread scratch store.
+"""run_pipeline's per-CPU chunks, eval's clip threads and the per-thread
+scratch store.
 
-A clip's rows run as one chunk per thread, and a row of many frames (the
-baseline's whole clip, or a long segment) splits its frames as well. The outcome must not depend on the thread count, pool threads must
-not call anything perfbench's tracer wraps, a forked process must run its
-chunks on a pool of its own, and no result may share memory with scratch.
+A clip's rows run as one chunk per thread of its budget, and a row of many
+frames (the baseline's whole clip, or a long segment) splits its frames as
+well. The outcome must not depend on the thread count, pool threads must
+not call anything perfbench's tracer wraps, each eval clip thread and the
+chunks it hands out must keep to its share of the CPUs, a forked process
+must run its chunks on a pool of its own, and no result may share memory
+with scratch.
 """
 
 import multiprocessing
 import os
-import signal
-import subprocess
 import sys
-import textwrap
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -134,13 +135,16 @@ def _nested(fail: bool):
     return parallel.map_chunks(outer, 8)
 
 
-def test_nested_map_chunks_joins_in_order_and_propagates_errors():
+def test_nested_map_chunks_joins_in_order_and_propagates_errors(monkeypatch):
     # On two threads the pool has one thread, which runs the second outer
     # chunk; its inner chunks cannot start on the pool, so it runs them
     # itself. When the first of them fails, the second must be cancelled
     # rather than waited on, or the call never returns.
-    parallel.set_threads(2)
-    caller = ThreadPoolExecutor(max_workers=1)   # a hang then fails the test
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
+    monkeypatch.setattr(parallel, "_pool_size", 0)
+    # the calls run on a thread of their own, so that a hang fails the test
+    caller = ThreadPoolExecutor(max_workers=1, initializer=parallel.set_threads, initargs=(2,))
     try:
         assert caller.submit(_nested, False).result(timeout=60) == [
             [(0, 2), (2, 4)], [(4, 6), (6, 8)]]
@@ -150,27 +154,35 @@ def test_nested_map_chunks_joins_in_order_and_propagates_errors():
         caller.shutdown(wait=False)
 
 
-def test_concurrent_callers_get_their_own_results():
-    # More callers than CPUs, each chunking over a shared pool that a larger
-    # thread count replaces midway, with the interpreter switching threads
-    # often: a scratch array shared across threads, or a chunk joined to the
-    # wrong call, changes some caller's values.
+def test_concurrent_callers_get_their_own_results(monkeypatch):
+    # More callers than CPUs, each setting its own budget of 2 or 4 and
+    # chunking over a shared pool that the first caller at 4 replaces with a
+    # larger one midway, with the interpreter switching threads often: a
+    # scratch array shared across threads, or a chunk joined to the wrong
+    # call, changes some caller's values.
     clips = [noisy(int(sec * SR), seed=i) for i, sec in enumerate((2.9, 1.3, 4.1))]
     cfgs = [PipelineConfig(mode=m, thresh=THRESH) for m in MODES]
     jobs = [(clip, cfg) for clip in clips for cfg in cfgs] * 3
     parallel.set_threads(1)
     want = [outcome(run_pipeline(clip, cfg)) for clip, cfg in jobs]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made for a budget of 2: one thread
+    monkeypatch.setattr(parallel, "_pool_size", 0)
+
+    def call(job, budget):
+        parallel.set_threads(budget)
+        return outcome(run_pipeline(*job))
+
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(max_workers=5) as callers:
-            parallel.set_threads(2)
-            futures = [callers.submit(lambda job=job: outcome(run_pipeline(*job))) for job in jobs]
-            parallel.set_threads(4)
+            futures = [callers.submit(call, job, (2, 4)[i % 2]) for i, job in enumerate(jobs)]
             got = [f.result(timeout=120) for f in futures]
     finally:
         sys.setswitchinterval(old)
     assert got == want
+    assert parallel._pool_size == 3
 
 
 def test_threads_follow_the_affinity_mask(monkeypatch):
@@ -180,6 +192,8 @@ def test_threads_follow_the_affinity_mask(monkeypatch):
     assert parallel.threads() == 6
     parallel.set_threads(2)
     assert parallel.threads() == 2
+    with ThreadPoolExecutor(max_workers=1) as other:   # a budget is its thread's own
+        assert other.submit(parallel.threads).result() == 6
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +244,8 @@ def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# eval worker processes
+# eval clip threads
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="reads the worker budget through a function patched before fork")
 @pytest.mark.parametrize("jobs,share", [(2, 4), (3, 2), (5, 1)])
 def test_eval_workers_get_their_share_of_the_cpus(monkeypatch, tmp_path, jobs, share):
     manifest = generate_corpus(tmp_path, (1, 0, 1), (5.0,), seed=3, duration_s=0.5,
@@ -241,35 +253,46 @@ def test_eval_workers_get_their_share_of_the_cpus(monkeypatch, tmp_path, jobs, s
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
 
     def report_budget(path):
-        raise RuntimeError(f"threads={parallel.threads()} pid={os.getpid()}")
+        on_main = threading.current_thread() is threading.main_thread()
+        raise RuntimeError(f"threads={parallel.threads()} main={on_main}")
 
     monkeypatch.setattr(evaluate, "read_wav", report_budget)
     (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=jobs)
     assert len(report.errors) == 2
-    assert all(f"RuntimeError: threads={share} " in e for e in report.errors)
-    assert all(f"pid={os.getpid()}" not in e for e in report.errors)
+    assert all(f"RuntimeError: threads={share} main=False" in e for e in report.errors)
+    assert parallel.threads() == 8   # the caller's own budget is untouched
 
 
-FORK_SCRIPT = textwrap.dedent("""
-    import sys
-    from vadpipe import evaluate, parallel
-    from vadpipe.audio_io import ensure_rate, read_wav
-    from vadpipe.pipeline import MODES, PipelineConfig, run_pipeline
-    from vadpipe.synth import generate_corpus
-
-    # Four CPUs: each of two eval workers, forked after the pool exists,
-    # then runs two threads.
-    parallel.usable_cpus = lambda: 4
-    manifest = generate_corpus(sys.argv[1], (1, 2, 1), (5.0,), seed=5, duration_s=1.0,
+def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
+    # Two clip threads on eight CPUs get four chunk threads each. Their
+    # chunks, and the chunks those split again, run under that budget on
+    # whichever thread runs them, and the shared pool has a thread for every
+    # chunk both clip threads hand out at once.
+    manifest = generate_corpus(tmp_path, (1, 0, 1), (5.0,), seed=3, duration_s=0.5,
                                write_stems=False)
-    cfgs = [PipelineConfig(mode=m, thresh=45.9) for m in MODES]
-    run_pipeline(ensure_rate(read_wav(manifest.resolve(manifest.entries[0]))), cfgs[2])
-    assert parallel._pool is not None
-    pooled = evaluate.run_eval(manifest, cfgs, jobs=2)
-    assert pooled == evaluate.run_eval(manifest, cfgs, jobs=1)
-    assert all(r.num_clips == 4 and not r.errors for r in pooled)
-    print("same")
-""")
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(parallel, "_pool", None)
+    monkeypatch.setattr(parallel, "_pool_size", 0)
+
+    def report_budgets(buf, cfg):
+        clip_thread = threading.get_ident()
+
+        def outer(lo, hi):
+            if lo == 0:  # pool threads have time to start the other chunks
+                time.sleep(0.2)
+            inner = parallel.map_chunks(lambda a, b: (threading.get_ident(), parallel.threads()), 8)
+            return [(threading.get_ident(), parallel.threads())] + inner
+
+        seen = [s for chunk in parallel.map_chunks(outer, 8) for s in chunk]
+        pooled = any(ident != clip_thread for ident, _ in seen)
+        raise RuntimeError(f"budgets={sorted({b for _, b in seen})} pooled={pooled} "
+                           f"chunks={len(seen)}")
+
+    monkeypatch.setattr(evaluate, "run_pipeline", report_budgets)
+    (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=2)
+    assert len(report.errors) == 2
+    assert all("budgets=[4] pooled=True chunks=20" in e for e in report.errors), report.errors
+    assert parallel._pool_size >= 2 * (4 - 1)
 
 
 def _chunk_threads(conn):
@@ -300,22 +323,6 @@ def test_forked_child_runs_chunks_on_a_pool_of_its_own():
         child.kill()
         pytest.fail("forked child did not finish in 60 s")
     assert receiver.poll(0) and receiver.recv() == [True, False]
-
-
-def test_eval_pool_after_threads_exist_does_not_hang(tmp_path):
-    # Its own session, so that a hang can be ended with its eval workers.
-    proc = subprocess.Popen([sys.executable, "-c", FORK_SCRIPT, str(tmp_path)],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                            start_new_session=True,
-                            env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    try:
-        out, err = proc.communicate(timeout=180)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, signal.SIGKILL)
-        proc.communicate()
-        pytest.fail("run_eval(jobs=2) after the pool existed did not finish in 180 s")
-    assert proc.returncode == 0, err
-    assert out.strip() == "same"
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from vadpipe.aggregate import aggregate_score, decide_segment
 from vadpipe.audio_io import AudioBuffer, ensure_rate
-from vadpipe.preprocess import PreprocessConfig, energy_gate, preprocess_segment
+from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
+                                preprocess_segment, rms_normalize, spectral_subtract)
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
                               run_pipeline_on_scores, segment, segment_rows)
 from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
@@ -110,8 +111,16 @@ class TestRunPipeline:
 GUARDED = {
     "run_pipeline": lambda buf: run_pipeline(buf, PipelineConfig(mode="vad2")),
     "score": lambda buf: ReferenceScorer().score(buf),
+    "spectral_subtract": lambda buf: spectral_subtract(buf, PreprocessConfig()),
     "energy_gate": lambda buf: energy_gate(buf, PreprocessConfig()),
+    "rms_normalize": lambda buf: rms_normalize(buf, 0.1),
     "preprocess_segment": lambda buf: preprocess_segment(buf, PreprocessConfig()),
+}
+# The stages run_pipeline calls on a clip it has already checked read only
+# its rate, so the clip's samples are scanned once.
+RATE_GUARDED = {
+    "clip_noise_profile": lambda buf: clip_noise_profile(buf, PreprocessConfig()),
+    "segment_rows": lambda buf: segment_rows(buf, 200.0),
 }
 
 
@@ -121,6 +130,14 @@ def test_audio_off_the_pipeline_rate_is_refused(name, rng):
     with pytest.raises(ValueError, match="48000 Hz.*ensure_rate"):
         GUARDED[name](buf)
     GUARDED[name](ensure_rate(buf))
+
+
+@pytest.mark.parametrize("name", sorted(RATE_GUARDED))
+def test_clip_stages_refuse_audio_off_the_pipeline_rate(name, rng):
+    buf = AudioBuffer(rng.standard_normal(48000) * 0.1, 48000)
+    with pytest.raises(ValueError, match="48000 Hz.*ensure_rate"):
+        RATE_GUARDED[name](buf)
+    RATE_GUARDED[name](ensure_rate(buf))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -137,3 +137,8 @@ class TestVoteStatistic:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             vote_statistic([], VoteConfig(4))
+
+    @pytest.mark.parametrize("values", [[math.nan], [50.0, math.nan, 60.0, 70.0, 80.0]])
+    def test_nan_rejected(self, values):
+        with pytest.raises(ValueError, match="NaN"):
+            vote_statistic(values, VoteConfig(4))

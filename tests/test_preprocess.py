@@ -14,7 +14,7 @@ def stft_of_magnitudes(mags_per_frame):
     """Build an Stft whose frames have the given magnitudes (zero phase)."""
     frames = np.asarray(mags_per_frame, dtype=np.float64).astype(complex)
     fft_len = 2 * (frames.shape[1] - 1)
-    return dsp.Stft(frames, fft_len, fft_len // 4, "hann")
+    return dsp.Stft(frames, fft_len, fft_len // 4)
 
 
 class TestEstimateNoise:
