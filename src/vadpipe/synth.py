@@ -6,6 +6,13 @@ exact SNR), and non-speech (noise alone). Generation is fully seeded: the
 same seed always produces byte-identical files and manifest. A generator
 draws its random values first, then fills its samples as parallel chunks
 (`_chunked`), which give the same bytes on any number of CPUs.
+
+A term is computed only over the samples where it can change a bit of the
+result. A noise swell is added only within `SWELL_REACH_SIGMAS` of its
+centre; beyond that it is below half an ulp of the envelope. Outside the
+speech bursts the mask is +0.0, and the sample is `tone * 0.0`, sign of
+zero included (`am` > 0 and `syl` >= +0.0), so the AM and syllable sines
+run only inside the bursts.
 """
 
 from __future__ import annotations
@@ -33,6 +40,12 @@ MAX_DURATION_S = 600.0   # ten minutes: a clip is held as a few float64 arrays
 # Xeon VM two chunks of 16,384 samples beat one inline pass for every
 # generator, while two of 8,192 were slower for white noise.
 MIN_CHUNK_SAMPLES = 16384
+# A noise swell gain * exp(-0.5 * ((t - c) / w)^2) is added only within this
+# many sigmas w of its centre c. The envelope it is added to is at least
+# 10^(-2.5/20) ~ 0.75, so half an ulp of it is at least 2^-54 ~ 5.6e-17. Beyond
+# 10 sigmas a swell of gain <= 10^(13/20) - 1 ~ 3.47 adds under
+# 3.47 * exp(-50) ~ 7e-22, which rounds back to the envelope: no bit changes.
+SWELL_REACH_SIGMAS = 10.0
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,8 @@ def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("clean and noise must share a sample rate")
+    if not (len(clean) and len(noise)):
+        raise ValueError("cannot mix empty clean or noise material")
     noise_fit = _fit_length(noise.samples, len(clean))
     p_clean = _power(clean.samples)
     p_noise = _power(noise_fit)
@@ -110,11 +125,30 @@ def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
 
 
 def measured_snr_db(clean: AudioBuffer, noise: AudioBuffer) -> float:
-    return 10.0 * math.log10(_power(clean.samples) / _power(noise.samples))
+    if not (len(clean) and len(noise)):
+        raise ValueError("cannot measure the SNR of empty clean or noise material")
+    p_clean, p_noise = _power(clean.samples), _power(noise.samples)
+    if p_clean == 0.0 or p_noise == 0.0:
+        raise ValueError("cannot measure the SNR of silent clean or noise material")
+    return 10.0 * math.log10(p_clean / p_noise)
 
 
 # ---------------------------------------------------------------------------
 # built-in source generators
+
+def _sample_count(duration_s: float, sample_rate_hz: int, minimum: int = 1) -> int:
+    n = int(round(duration_s * sample_rate_hz)) if math.isfinite(duration_s) else 0
+    if n < minimum:   # a NaN or infinite duration counts as no samples
+        raise ValueError(f"need at least {minimum} samples, got {duration_s:g} s "
+                         f"at {sample_rate_hz} Hz")
+    return n
+
+
+def _within(span: tuple[int, int], lo: int, hi: int) -> slice:
+    """The part of the sample range span that lies in the chunk [lo, hi),
+    as a slice of the chunk (empty when they do not meet)."""
+    return slice(max(span[0], lo) - lo, max(min(span[1], hi), lo) - lo)
+
 
 def _chunked(fill, n: int) -> np.ndarray:
     """fill(lo, hi) for each chunk of range(n) on the parallel pool, joined.
@@ -135,17 +169,19 @@ def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
     followed by a brief afterthought, and silence elsewhere. Most of the
     clip is pause, which is what makes whole-clip averaging miss it.
     """
-    n = int(round(duration_s * sample_rate_hz))
+    n = _sample_count(duration_s, sample_rate_hz)
     f0 = rng.uniform(120.0, 220.0)
     phases = [rng.uniform(0, 2 * np.pi) for _ in range(5)]
     am_phase = rng.uniform(0, 2 * np.pi)
 
     mask = np.zeros(n)
+    bursts = []   # (start, stop) sample ranges; mask is +0.0 outside them
     edge = int(0.01 * sample_rate_hz)
 
     def add_burst(start_s: float, length_s: float) -> None:
         start = int(start_s * sample_rate_hz)
         stop = min(int((start_s + length_s) * sample_rate_hz), n)
+        bursts.append((start, stop))
         mask[start:stop] = 1.0
         if stop - start > 2 * edge:  # raised-cosine edges, no clicks
             fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
@@ -171,10 +207,16 @@ def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
             # gentle rolloff keeps energy in the upper harmonics, where
             # low-frequency-heavy backgrounds mask least
             tone += (1.0 / math.sqrt(k)) * np.sin(2.0 * np.pi * k * f0 * t + phase)
-        am = 0.85 + 0.15 * np.sin(2.0 * np.pi * 4.0 * t + am_phase)
-        syl = np.sin(2 * np.pi * t / syl_period + syl_phase)
-        syl = np.clip((syl + 0.45) / 0.6, 0.0, 1.0)
-        return tone * am * mask[lo:hi] * syl
+        # a sample is ((tone * am) * mask) * syl with am > 0 and syl >= +0.0,
+        # so where mask is +0.0 it is tone * 0.0, sign of zero included
+        x = tone * 0.0
+        for span in bursts:
+            s = _within(span, lo, hi)
+            am = 0.85 + 0.15 * np.sin(2.0 * np.pi * 4.0 * t[s] + am_phase)
+            syl = np.sin(2 * np.pi * t[s] / syl_period + syl_phase)
+            syl = np.clip((syl + 0.45) / 0.6, 0.0, 1.0)
+            x[s] = tone[s] * am * mask[lo:hi][s] * syl
+        return x
 
     x = _chunked(fill, n)
     rms = math.sqrt(_power(x))
@@ -200,36 +242,47 @@ def _unsteady_envelope(rng: np.random.Generator, n: int,
                rng.uniform(0.05, 0.2),  # gaussian sigma, seconds
                10.0 ** (rng.uniform(6.0, 13.0) / 20.0) - 1.0)  # gain
               for _ in range(int(rng.integers(1, max(2, int(1.6 * duration)))))]
+    # each swell's reach in samples, one sample wider than SWELL_REACH_SIGMAS
+    spans = [(math.floor((center - SWELL_REACH_SIGMAS * width) * sample_rate_hz),
+              math.ceil((center + SWELL_REACH_SIGMAS * width) * sample_rate_hz) + 1)
+             for center, width, _ in swells]
 
     def fill(lo: int, hi: int) -> np.ndarray:
         t = np.arange(lo, hi) / sample_rate_hz
         drift_db = depth_db * np.sin(2 * np.pi * drift_hz * t + drift_phase)
         env = 10.0 ** (drift_db / 20.0)
-        for center, width, gain in swells:
-            env += gain * np.exp(-0.5 * ((t - center) / width) ** 2)
+        for (center, width, gain), span in zip(swells, spans):
+            s = _within(span, lo, hi)
+            env[s] += gain * np.exp(-0.5 * ((t[s] - center) / width) ** 2)
         return env
 
     return _chunked(fill, n)
 
 
-def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
-    n = int(round(duration_s * sample_rate_hz))
-    x = rng.standard_normal(n) * _unsteady_envelope(rng, n, sample_rate_hz)
+def _at_rms(x: np.ndarray, rms: float, sample_rate_hz: int) -> AudioBuffer:
+    """Noise x scaled in place to the given RMS, then clipped to [-1, 1]."""
+    if not 0.0 < rms < math.inf:   # NaN fails too
+        raise ValueError(f"rms must be positive and finite, got {rms}")
     x *= rms / math.sqrt(_power(x))
     return AudioBuffer(np.clip(x, -1.0, 1.0), sample_rate_hz)
 
 
+def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
+                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
+    n = _sample_count(duration_s, sample_rate_hz)
+    x = rng.standard_normal(n) * _unsteady_envelope(rng, n, sample_rate_hz)
+    return _at_rms(x, rms, sample_rate_hz)
+
+
 def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
-    n = int(round(duration_s * sample_rate_hz))
+    n = _sample_count(duration_s, sample_rate_hz, minimum=2)   # freqs[1] must exist
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
     freqs[0] = freqs[1]
     x = np.fft.irfft(spectrum / np.sqrt(freqs), n=n)
     x *= _unsteady_envelope(rng, n, sample_rate_hz)
-    x *= rms / math.sqrt(_power(x))
-    return AudioBuffer(np.clip(x, -1.0, 1.0), sample_rate_hz)
+    return _at_rms(x, rms, sample_rate_hz)
 
 
 def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
@@ -237,7 +290,7 @@ def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
                  voices: int = 8) -> AudioBuffer:
     """Sum of detuned continuous harmonic voices: speech-like spectrum,
     but no single voice dominates and the aggregate envelope stays steady."""
-    n = int(round(duration_s * sample_rate_hz))
+    n = _sample_count(duration_s, sample_rate_hz)
     # per voice: f0, five harmonic phases, AM rate and AM phase
     params = [(rng.uniform(90.0, 280.0), [rng.uniform(0, 2 * np.pi) for _ in range(5)],
                rng.uniform(2.5, 6.5), rng.uniform(0, 2 * np.pi)) for _ in range(voices)]
@@ -255,8 +308,7 @@ def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
 
     x = _chunked(fill, n)
     x *= _unsteady_envelope(rng, n, sample_rate_hz)
-    x *= rms / math.sqrt(_power(x))
-    return AudioBuffer(np.clip(x, -1.0, 1.0), sample_rate_hz)
+    return _at_rms(x, rms, sample_rate_hz)
 
 
 def make_noise(kind: str, rng: np.random.Generator, duration_s: float,

@@ -6,6 +6,11 @@ subtracted, gated, normalized and scored on its own, with Python-level
 overlap-add loops and the phase rebuilt as exp(1j * angle(X)). It shares
 only the configuration classes, the mel filterbank and the vote with
 vadpipe, so tests can hold run_pipeline against an independent computation.
+
+It also holds dense references of two synthesis fills, `speech_surrogate`
+and `unsteady_envelope`: they evaluate every term at every sample of the
+clip in one pass, where vadpipe.synth adds each term only over the samples
+it can change, so tests can demand the same bytes of both.
 """
 
 from __future__ import annotations
@@ -151,3 +156,60 @@ def oracle_pipeline(x: np.ndarray, cfg: PipelineConfig) -> dict:
     windows = tuple(vote_with_fallback(labels, cfg.vote))
     return {"values": values, "labels": labels, "windows": windows,
             "final": final_decision(windows)}
+
+
+# ---------------------------------------------------------------------------
+# synthesis: every term at every sample, the random draws in vadpipe's order
+
+def speech_surrogate(rng: np.random.Generator, duration_s: float, rate: int) -> np.ndarray:
+    n = int(round(duration_s * rate))
+    f0 = rng.uniform(120.0, 220.0)
+    phases = [rng.uniform(0, 2 * np.pi) for _ in range(5)]
+    am_phase = rng.uniform(0, 2 * np.pi)
+    mask = np.zeros(n)
+    edge = int(0.01 * rate)
+
+    def add_burst(start_s: float, length_s: float) -> None:
+        start = int(start_s * rate)
+        stop = min(int((start_s + length_s) * rate), n)
+        mask[start:stop] = 1.0
+        if stop - start > 2 * edge:
+            fade = 0.5 - 0.5 * np.cos(np.pi * np.arange(edge) / edge)
+            mask[start:start + edge] *= fade
+            mask[stop - edge:stop] *= fade[::-1]
+
+    main_len = rng.uniform(1.0, 1.3)
+    main_pos = rng.uniform(0.25, max(duration_s - main_len - 0.2, 0.3))
+    add_burst(main_pos, main_len)
+    tail_pos = main_pos + main_len + rng.uniform(0.5, 0.9)
+    if rng.uniform() < 0.5 and tail_pos + 0.5 < duration_s:
+        add_burst(tail_pos, rng.uniform(0.25, 0.45))
+    syl_period = rng.uniform(0.14, 0.19)
+    syl_phase = rng.uniform(0, 2 * np.pi)
+
+    t = np.arange(n) / rate
+    tone = np.zeros(n)
+    for k, phase in enumerate(phases, start=1):
+        tone += (1.0 / math.sqrt(k)) * np.sin(2.0 * np.pi * k * f0 * t + phase)
+    am = 0.85 + 0.15 * np.sin(2.0 * np.pi * 4.0 * t + am_phase)
+    syl = np.sin(2 * np.pi * t / syl_period + syl_phase)
+    syl = np.clip((syl + 0.45) / 0.6, 0.0, 1.0)
+    x = tone * am * mask * syl
+    rms = math.sqrt(float(np.mean(x ** 2)))
+    x *= rng.uniform(0.08, 0.2) / max(rms, 1e-12)
+    return np.clip(x, -1.0, 1.0)
+
+
+def unsteady_envelope(rng: np.random.Generator, n: int, rate: int) -> np.ndarray:
+    depth_db = rng.uniform(0.5, 2.5)
+    drift_hz = rng.uniform(0.08, 0.3)
+    drift_phase = rng.uniform(0, 2 * np.pi)
+    duration = n / rate
+    swells = [(rng.uniform(0.0, duration), rng.uniform(0.05, 0.2),
+               10.0 ** (rng.uniform(6.0, 13.0) / 20.0) - 1.0)
+              for _ in range(int(rng.integers(1, max(2, int(1.6 * duration)))))]
+    t = np.arange(n) / rate
+    env = 10.0 ** (depth_db * np.sin(2 * np.pi * drift_hz * t + drift_phase) / 20.0)
+    for center, width, gain in swells:
+        env += gain * np.exp(-0.5 * ((t - center) / width) ** 2)
+    return env

@@ -59,11 +59,12 @@ class TestMixAtSnr:
 
     def test_silent_inputs_rejected(self, rng):
         live = make_buffer(rng.standard_normal(1000) * 0.1)
-        silent = make_buffer(np.zeros(1000))
-        with pytest.raises(ValueError):
-            mix_at_snr(silent, live, 0.0)
-        with pytest.raises(ValueError):
-            mix_at_snr(live, silent, 0.0)
+        for dead, why in ((make_buffer(np.zeros(1000)), "silent"),
+                          (make_buffer(np.zeros(0)), "empty")):
+            with pytest.raises(ValueError, match=why):
+                mix_at_snr(dead, live, 0.0)
+            with pytest.raises(ValueError, match=why):
+                mix_at_snr(live, dead, 0.0)
 
     def test_rate_mismatch_rejected(self, rng):
         a = AudioBuffer(rng.standard_normal(1000) * 0.1, 16000)
@@ -75,6 +76,15 @@ class TestMixAtSnr:
         a, b = equal_power_pair(rng)
         with pytest.raises(ValueError):
             mix_at_snr(a, b, math.inf)
+
+    def test_measured_snr_needs_live_material(self, rng):
+        live = make_buffer(rng.standard_normal(1000) * 0.1)
+        with pytest.raises(ValueError, match="silent"):
+            measured_snr_db(live, make_buffer(np.zeros(1000)))
+        with pytest.raises(ValueError, match="silent"):
+            measured_snr_db(make_buffer(np.zeros(1000)), live)
+        with pytest.raises(ValueError, match="empty"):
+            measured_snr_db(live, make_buffer(np.zeros(0)))
 
 
 class TestGenerators:
@@ -91,6 +101,22 @@ class TestGenerators:
         frame_rms = np.sqrt(np.mean(buf.samples[:128000].reshape(-1, 800) ** 2, axis=1))
         silent = np.mean(frame_rms < 1e-6)
         assert 0.4 <= silent <= 0.95  # mostly pause, some voice
+
+    @pytest.mark.parametrize("gen,seconds", [
+        (pink_noise, 1 / 16000), (pink_noise, 0.0), (white_noise, 0.0), (babble_noise, -1.0),
+        (speech_surrogate, 0.0), (white_noise, math.nan), (speech_surrogate, math.inf)])
+    def test_too_few_samples_rejected(self, gen, seconds):
+        with pytest.raises(ValueError, match="need at least"):
+            gen(np.random.default_rng(0), seconds, 16000)
+
+    @pytest.mark.parametrize("rms", [math.nan, math.inf, 0.0, -0.05])
+    @pytest.mark.parametrize("gen", [white_noise, pink_noise, babble_noise])
+    def test_bad_noise_level_rejected(self, gen, rms):
+        with pytest.raises(ValueError, match="rms"):
+            gen(np.random.default_rng(0), 0.1, 16000, rms)
+
+    def test_two_sample_pink_noise(self):
+        assert len(pink_noise(np.random.default_rng(0), 2 / 16000, 16000)) == 2
 
     def test_unknown_noise_kind(self):
         with pytest.raises(ValueError):
