@@ -8,7 +8,8 @@ Ogita & Oishi 2008, "Accurate floating-point summation part I") and one
 TwoSum (Knuth) give each sum as a double-double `hi + lo`, whose rounding is
 the correctly rounded sum unless the sum lies within the double-double's
 error bound of a rounding tie. Those few sums, mostly exact half-ulp ties,
-are recomputed with `math.fsum`.
+are recomputed with `math.fsum`. A zero sum needs no `fsum`: nonnegative
+terms add up to 0 only if every term is 0, and 0 is then the exact sum.
 """
 
 from __future__ import annotations
@@ -67,11 +68,13 @@ def _double_double_sums(terms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # lo differs from the exact sum of the r by at most ~2 n^2 (n + 2) u^2
     # times the sum (u = 2^-53); the bound below is over 10x that. The sum
     # rounds to total when hi + lo and the true sum lie on the same side of
-    # every rounding tie; zero, non-finite and tie-near sums fail this test
-    # and go to math.fsum.
+    # every rounding tie; non-finite and tie-near sums fail this test and go
+    # to math.fsum. A zero sum fails it too, but is exact: the terms are
+    # nonnegative, so their plain sum is 0 only if each term is, and then
+    # q, r, hi, lo and total are all +0.0, the sum math.fsum gives.
     bound = total * (n ** 3 * 2.0 ** -100)
     half_gap = (total - np.nextafter(total, 0.0)) / 2
-    return total, (np.abs(residual) + bound < half_gap) & (scaled < np.inf)
+    return total, ((np.abs(residual) + bound < half_gap) & (scaled < np.inf)) | (scaled == 0)
 
 
 def segment_values(scores: np.ndarray, frames: np.ndarray | None = None) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,8 @@ class AudioBuffer:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {samples.shape}")
+        if not isinstance(self.sample_rate_hz, numbers.Integral):
+            raise ValueError(f"sample_rate_hz must be an integer, got {self.sample_rate_hz!r}")
         if self.sample_rate_hz <= 0:
             raise ValueError(f"sample_rate_hz must be positive, got {self.sample_rate_hz}")
         object.__setattr__(self, "samples", samples)
@@ -78,7 +81,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
     1/32768; float32 samples are clamped to [-1, 1], and NaN or infinite
     ones are rejected.
     """
-    data = Path(path).read_bytes()
+    data = memoryview(Path(path).read_bytes())   # slices share the bytes
     if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -114,7 +117,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
         raise UnsupportedCodecError(f"{path}: {channels} channels not supported")
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = raw.astype(np.float64) / _PCM16_FULL_SCALE
+        samples = np.divide(raw, _PCM16_FULL_SCALE, dtype=np.float64)
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         if not np.all(np.isfinite(raw)):

@@ -138,9 +138,10 @@ def analysis_window(length: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def _crossfade_window(length: int) -> np.ndarray:
-    # triangular but strictly positive, so normalized overlap-add is defined
-    # at every sample a frame covers
+def crossfade_window(length: int) -> np.ndarray:
+    """The overlap_add_rows weighting: triangular but strictly positive, so
+    normalized overlap-add is defined at every sample a frame covers;
+    built once per length, read-only."""
     ramp = np.minimum(np.arange(1, length + 1), np.arange(length, 0, -1))
     win = ramp / ramp.max()
     win.setflags(write=False)
@@ -150,11 +151,17 @@ def _crossfade_window(length: int) -> np.ndarray:
 def rfft_frames(frames: np.ndarray, fft_len: int, window: np.ndarray,
                 key: str | None = None) -> np.ndarray:
     """One-sided spectra of the windowed frames (..., frame_len), zero-padded
-    to fft_len: (..., fft_len // 2 + 1)."""
-    windowed = scratch("rfft_frames.windowed", frames.shape)
-    np.multiply(frames, window, out=windowed)
+    to fft_len >= frame_len: (..., fft_len // 2 + 1).
+
+    The frames are windowed into the head of an fft_len-wide buffer whose
+    tail is zeroed, the padding rfft(n=fft_len) would do itself, so the
+    spectra are the same bits."""
+    frame_len = frames.shape[-1]
+    windowed = scratch("rfft_frames.windowed", frames.shape[:-1] + (fft_len,))
+    np.multiply(frames, window, out=windowed[..., :frame_len])
+    windowed[..., frame_len:] = 0.0
     out = _buffer(key, frames.shape[:-1] + (fft_len // 2 + 1,), np.complex128)
-    return np.fft.rfft(windowed, n=fft_len, axis=-1, out=out)
+    return np.fft.rfft(windowed, axis=-1, out=out)
 
 
 def check_stft_geometry(fft_len: int, hop: int) -> None:
@@ -192,7 +199,7 @@ def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
 def _normaliser(weights: str, frame_len: int, hop: int, num: int):
     """(summed weights floored at _DENOM_FLOOR, samples where the sum
     vanishes or None) over a grid of num frames; read-only, built once."""
-    den_win = (_crossfade_window(frame_len) if weights == "crossfade"
+    den_win = (crossfade_window(frame_len) if weights == "crossfade"
                else analysis_window(frame_len) ** 2)
     blocks = num - 1 + -(-frame_len // hop)
     den = _shifted_add(np.zeros((blocks, hop)), np.broadcast_to(den_win, (num, frame_len)), hop)
@@ -256,7 +263,7 @@ def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int,
     cross-fade against their neighbors.
     """
     weighted = scratch("overlap_add_rows.weighted", frames.shape)
-    np.multiply(frames, _crossfade_window(frames.shape[-1]), out=weighted)
+    np.multiply(frames, crossfade_window(frames.shape[-1]), out=weighted)
     return weighted_overlap_add(weighted, hop, out_len, "crossfade", key)
 
 

@@ -128,10 +128,14 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta,
                                out=dsp.scratch("spectral_subtract.clean", spec.shape))
     # X * clean/|X| keeps the noisy phase; a zero bin has phase 0, so it
-    # becomes the real value clean.
-    zero = mag == 0.0
-    spec *= np.divide(clean, mag, out=mag, where=~zero)
-    np.copyto(spec, clean, where=zero)
+    # becomes the real value clean. Only a row block with a zero bin needs
+    # the masked pass.
+    if mag.all():
+        spec *= np.divide(clean, mag, out=mag)
+    else:
+        zero = mag == 0.0
+        spec *= np.divide(clean, mag, out=mag, where=~zero)
+        np.copyto(spec, clean, where=zero)
     out = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, pad - start + n, key="spectral_subtract.out")
     return out[:, pad - start:]
 
@@ -153,15 +157,18 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
 
 
 def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+    # dsp.overlap_add_rows with the gate folded in: a gated frame's weighted
+    # samples are 0.0, which is what weighting its zeroed samples gives.
     frames = dsp.frame_rows(rows, GATE_FRAME_LEN, GATE_HOP, key="energy_gate.grid")
-    gated = dsp.scratch("energy_gate.frames", frames.shape)
-    energies = np.square(frames, out=gated).sum(axis=-1)
+    weighted = dsp.scratch("energy_gate.frames", frames.shape)
+    energies = np.square(frames, out=weighted).sum(axis=-1)
     theta = cfg.theta
     if cfg.theta_relative:  # a fraction of each row's own mean frame energy
         theta = theta * energies.mean(axis=-1, keepdims=True)
-    np.copyto(gated, frames)
-    gated[~(energies >= theta)] = 0.0
-    return dsp.overlap_add_rows(gated, GATE_HOP, rows.shape[-1], key="energy_gate.out")
+    np.multiply(frames, dsp.crossfade_window(GATE_FRAME_LEN), out=weighted)
+    weighted[~(energies >= theta)] = 0.0
+    return dsp.weighted_overlap_add(weighted, GATE_HOP, rows.shape[-1], "crossfade",
+                                    key="energy_gate.out")
 
 
 def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:

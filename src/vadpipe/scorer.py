@@ -150,24 +150,31 @@ class ReferenceScorer:
         Each row gets its own noise floor, exactly as if scored alone.
         filterbank is this scorer's, when the caller has looked it up already.
         Rows of at least 2 * MIN_CHUNK_FRAMES frames, such as the baseline's
-        whole clip, are windowed and transformed as parallel chunks of frames
-        (parallel.map_chunks); the mel projection runs over all frames at
-        once, so the result does not depend on the chunking.
+        whole clip, are windowed, transformed and projected onto the mel
+        bands as parallel chunks of frames (parallel.map_chunks); only the
+        noise floor and the excess over it run over all frames at once. The
+        projection of a frame does not depend on which other frames share
+        its chunk, so neither does the result: test_parallel's
+        test_whole_clip_score_is_bit_for_bit_at_any_thread_count holds it
+        to that.
         """
         frame_len, hop, fft_len = self._geometry()
         if filterbank is None:
             filterbank = self.filterbank()
         frames = dsp.frame_rows(rows, frame_len, hop, key="score_rows.grid")
-        power = dsp.scratch("score_rows.power", frames.shape[:-1] + (fft_len // 2 + 1,))
+        log_energy = dsp.scratch("score_rows.log_energy",
+                                 frames.shape[:-1] + (filterbank.shape[0],))
 
         def chunk(start, stop):
-            out = power[:, start:stop]
-            np.abs(dsp.rfft_frames(frames[:, start:stop], fft_len, _hanning(frame_len),
-                                   key="score.spectra"), out=out)
-            np.square(out, out=out)
+            spectra = dsp.rfft_frames(frames[:, start:stop], fft_len, _hanning(frame_len),
+                                      key="score.spectra")
+            power = np.abs(spectra, out=dsp.scratch("score_rows.power", spectra.shape))
+            np.square(power, out=power)
+            np.log(power @ filterbank.T + _LOG_FLOOR, out=log_energy[:, start:stop])
 
         parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)
-        return _log_mel_excess(power, filterbank)
+        floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
+        return np.maximum(log_energy - floor, 0.0)
 
 
 @functools.lru_cache(maxsize=16)
@@ -175,13 +182,6 @@ def _hanning(length: int) -> np.ndarray:
     win = np.hanning(length)
     win.setflags(write=False)
     return win
-
-
-def _log_mel_excess(power: np.ndarray, fb: np.ndarray) -> np.ndarray:
-    """Log mel energies (..., frames, bands) above their 10th percentile over frames."""
-    log_energy = np.log(power @ fb.T + _LOG_FLOOR)
-    floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
-    return np.maximum(log_energy - floor, 0.0)
 
 
 def load_scores(path: str | Path) -> FrameScoreMatrix:

@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -75,21 +77,55 @@ def fsum_value(segment: np.ndarray) -> float:
     return math.fsum([math.fsum(row) for row in segment.tolist()]) / len(segment)
 
 
+@contextlib.contextmanager
+def fsum_calls():
+    """The term lists math.fsum is called with inside the block."""
+    calls = []
+    fsum = math.fsum
+    with mock.patch.object(math, "fsum", lambda terms: calls.append(terms) or fsum(terms)):
+        yield calls
+
+
 def assert_fsum_values(block: np.ndarray) -> None:
     want = [fsum_value(segment).hex() for segment in block.reshape((-1,) + block.shape[-2:])]
-    got = segment_values(block)
+    with fsum_calls() as calls:
+        got = segment_values(block)
     assert got.shape == block.shape[:-2]
     assert [v.hex() for v in got.reshape(-1).tolist()] == want
+    assert all(any(terms) for terms in calls), "a zero sum went to math.fsum"
+
+
+@st.composite
+def with_zero_rows(draw, block: np.ndarray) -> np.ndarray:
+    """block with some frames, and some whole segments, set to +0.0 or -0.0."""
+    segments = block.shape[:1] + (1,) * (block.ndim - 2)
+    zero = draw(arrays(np.bool_, block.shape[:-1])) | draw(arrays(np.bool_, segments))
+    block[zero] = draw(st.sampled_from([0.0, -0.0]))
+    return block
 
 
 blocks = st.tuples(st.integers(1, 4), st.integers(1, 24), st.integers(1, 40)).flatmap(
-    lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 1e6)))
+    lambda shape: arrays(np.float64, shape, elements=st.floats(0.0, 1e6))).flatmap(with_zero_rows)
 
 
 @settings(deadline=None, max_examples=200)
 @given(blocks)
 def test_random_blocks_equal_fsum(block):
     assert_fsum_values(block)
+
+
+def test_zero_sums_reach_no_fsum():
+    # Nonnegative terms sum to 0 only if all are 0, so those sums are exact
+    # in numpy; the other sums here are small integers, exact as well.
+    block = np.zeros((3, 19, 32))
+    block[1, ::3] = 0.5
+    block[2] = -0.0
+    want = [fsum_value(segment) for segment in block]
+    with fsum_calls() as calls:
+        got = segment_values(block)
+    assert calls == []
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    assert got.tolist() == [0.0, 7 * 16 / 19, 0.0]
 
 
 @st.composite
@@ -132,7 +168,8 @@ def test_degenerate_shapes_equal_fsum(shape, rng):
 
 @settings(deadline=None, max_examples=100)
 @given(st.lists(arrays(np.float64, st.tuples(st.integers(1, 30), st.just(3)),
-                       elements=st.floats(0.0, 1e6)), min_size=1, max_size=5))
+                       elements=st.floats(0.0, 1e6)).flatmap(with_zero_rows),
+                min_size=1, max_size=5))
 def test_zero_padded_segments_equal_fsum_of_their_own_frames(segments):
     frames = np.array([len(s) for s in segments])
     block = np.zeros((len(segments), frames.max(), 3))

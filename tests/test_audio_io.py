@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from scipy.signal import resample_poly
 
-from vadpipe import audio_io, parallel
+from vadpipe import audio_io, parallel, synth
 from vadpipe.audio_io import (AudioBuffer, UnsupportedCodecError, UnsupportedRateError,
                               WavFormatError, read_wav, resample, write_wav)
 
@@ -56,6 +56,23 @@ class TestReadWav:
         path.write_bytes(build_wav(struct.pack("<3f", 0.25, -1.5, 2.0), fmt_tag=3, bits=32))
         buf = read_wav(path)
         assert buf.samples == pytest.approx([0.25, -1.0, 1.0])
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("extra_byte", [False, True])
+    def test_pcm16_decode_is_the_plain_formula(self, tmp_path, rng, channels, extra_byte):
+        # Pinned to the plain formula, astype(float64) / 32768, then the stereo
+        # mean. An odd-length data chunk drops its last byte.
+        values = rng.integers(-32768, 32768, size=2 * 501, dtype=np.int16)
+        values[:2] = (-32768, 32767)
+        payload = values.astype("<i2").tobytes() + (b"\x7f" if extra_byte else b"")
+        path = tmp_path / "p.wav"
+        blob = build_wav(payload, channels=channels)
+        path.write_bytes(blob + (b"\x00" if extra_byte else b""))   # word-aligned chunk
+        want = values.astype(np.float64) / 32768
+        if channels == 2:
+            want = want.reshape(-1, 2).mean(axis=1)
+        got = read_wav(path).samples
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_float32_non_finite_rejected(self, tmp_path, bad):
@@ -321,6 +338,19 @@ class TestAudioBuffer:
     def test_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             AudioBuffer(np.zeros(10), 0)
+
+    @pytest.mark.parametrize("rate", [16000.5, 16000.0, "16000", None])
+    def test_rejects_a_rate_that_is_not_an_integer(self, rate):
+        with pytest.raises(ValueError, match="must be an integer"):
+            AudioBuffer(np.zeros(10), rate)
+
+    def test_accepts_numpy_integer_rates(self):
+        assert AudioBuffer(np.zeros(10), np.int64(16000)).duration_s == 10 / 16000
+
+    def test_synthesis_at_a_fractional_rate_is_a_value_error(self):
+        # It used to return a buffer that write_wav then failed on with struct.error.
+        with pytest.raises(ValueError, match="must be an integer"):
+            synth.speech_surrogate(np.random.default_rng(0), 1.0, 16000.5)
 
     def test_rejects_2d(self):
         with pytest.raises(ValueError):

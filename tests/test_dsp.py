@@ -125,3 +125,19 @@ class TestOverlapAdd:
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError):
             dsp.overlap_add(np.zeros(400), 160, 400)
+
+
+class TestRfftFrames:
+    @pytest.mark.parametrize("frame_len,fft_len", [(400, 512), (512, 512), (640, 1024)])
+    @pytest.mark.parametrize("lead", [(), (3,)])
+    def test_same_bits_as_rfft_padding_itself(self, rng, frame_len, fft_len, lead):
+        # Pinned to rfft padding the frames itself, with n=fft_len.
+        rows = rng.standard_normal(lead + (4000,))
+        frames = dsp.frame_rows(rows, frame_len, 160)
+        win = np.hanning(frame_len)
+        want = np.fft.rfft(frames * win, n=fft_len, axis=-1)
+        # the scratch buffer the frames are windowed into starts out dirty
+        dsp.scratch("rfft_frames.windowed", (2 * want.size,)).fill(np.nan)
+        got = dsp.rfft_frames(frames, fft_len, win)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert dsp.rfft_frames(frames, fft_len, win, key="test.spectra").tobytes() == want.tobytes()

@@ -4,10 +4,11 @@ import pytest
 from vadpipe import dsp
 from vadpipe.preprocess import (FFT_HOP, FFT_LEN, NoiseProfile, PreprocessConfig,
                                 clip_noise_profile, energy_gate, estimate_noise,
-                                preprocess_segment, rms_normalize, spectral_subtract,
-                                subtract_magnitude)
+                                preprocess_rows, preprocess_segment, rms_normalize,
+                                spectral_subtract, subtract_magnitude)
 
 from conftest import make_buffer, sine
+import oracle
 
 
 def stft_of_magnitudes(mags_per_frame):
@@ -92,13 +93,12 @@ class TestSpectralSubtract:
         out = spectral_subtract(make_buffer(noise), PreprocessConfig())
         assert np.mean(out.samples ** 2) < 0.5 * np.mean(noise ** 2)
 
-    @pytest.mark.parametrize("n", [3200, 3000, 700, 513, 512, 100, 2, 1])
-    def test_skipped_padding_frames_change_nothing(self, rng, n, monkeypatch):
-        # Reference: the whole reflect-padded grid through the public STFT
-        # pair, the path before frames inside the padding were skipped.
-        samples = rng.standard_normal(n) * 0.2
-        cfg = PreprocessConfig()
-        noise = clip_noise_profile(make_buffer(rng.standard_normal(4000) * 0.1), cfg)
+    @staticmethod
+    def whole_grid_reference(samples, cfg, noise):
+        """The whole reflect-padded grid through the public STFT pair, the
+        path before frames inside the padding were skipped, with the masked
+        divide for every block: (output, the mask of its zero bins)."""
+        n = len(samples)
         pad = min(FFT_LEN, n - 1)
         padded = np.pad(samples, pad, mode="reflect") if pad else samples
         spec = dsp.stft_rows(padded, FFT_LEN, FFT_HOP)
@@ -107,7 +107,14 @@ class TestSpectralSubtract:
         zero = mag == 0.0
         spec *= np.divide(clean, mag, out=mag, where=~zero)
         np.copyto(spec, clean, where=zero)
-        want = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, len(padded))[pad:pad + n]
+        return dsp.istft_rows(spec, FFT_LEN, FFT_HOP, len(padded))[pad:pad + n], zero
+
+    @pytest.mark.parametrize("n", [3200, 3000, 700, 513, 512, 100, 2, 1])
+    def test_skipped_padding_frames_change_nothing(self, rng, n, monkeypatch):
+        samples = rng.standard_normal(n) * 0.2
+        cfg = PreprocessConfig()
+        noise = clip_noise_profile(make_buffer(rng.standard_normal(4000) * 0.1), cfg)
+        want, zero = self.whole_grid_reference(samples, cfg, noise)
 
         transformed = []
         rfft_frames = dsp.rfft_frames
@@ -116,7 +123,25 @@ class TestSpectralSubtract:
         got = spectral_subtract(make_buffer(samples), cfg, noise=noise).samples
         assert np.array_equal(got, want)
         if n == 3200:  # 30 frames on the padded grid, the first and last all padding
-            assert spec.shape[0] == 30 and transformed == [28]
+            assert zero.shape[0] == 30 and transformed == [28]
+
+    def test_rows_with_zero_bins_keep_the_masked_formula(self, rng):
+        # A silent stretch gives frames whose bins are all exactly zero; they
+        # become the real value clean, and every other bin keeps its phase.
+        cfg = PreprocessConfig()
+        noise = clip_noise_profile(make_buffer(rng.standard_normal(4000) * 0.1), cfg)
+        rows = np.zeros((3, 3200))
+        rows[0, 1600:] = rng.standard_normal(1600) * 0.2
+        rows[2] = rng.standard_normal(3200) * 0.2
+        got = preprocess_rows(rows, PreprocessConfig(stages=("spectral_subtract",)), noise)
+        for row, out in zip(rows, got):
+            want, _ = self.whole_grid_reference(row, cfg, noise)
+            assert out.tobytes() == want.tobytes()
+            alone = spectral_subtract(make_buffer(row), cfg, noise=noise).samples
+            assert alone.tobytes() == want.tobytes()
+        assert [self.whole_grid_reference(row, cfg, noise)[1].any() for row in rows] == [
+            True, True, False]
+        assert np.all(got[1] != 0.0)   # silence in, the spectral floor out
 
     @pytest.mark.parametrize("n", [300, 700, 1152, 3200])
     def test_self_estimate_reads_only_the_lead_in(self, rng, n, monkeypatch):
@@ -192,6 +217,26 @@ class TestEnergyGate:
         once = energy_gate(make_buffer(samples), cfg)
         twice = energy_gate(once, cfg)
         assert np.max(np.abs(twice.samples - once.samples)) <= 1e-9
+
+    @pytest.mark.parametrize("theta,relative", [(0.1, True), (0.5, True), (5.0, False)])
+    def test_gating_some_frames_matches_the_oracle(self, rng, theta, relative):
+        # tests/oracle.py zeroes the gated frames, then weights every frame
+        samples = np.concatenate([rng.standard_normal(1500) * 0.02,
+                                  rng.standard_normal(2000) * 0.5,
+                                  np.zeros(700), rng.standard_normal(1000) * 0.3])
+        cfg = PreprocessConfig(theta=theta, theta_relative=relative)
+        frames = oracle.frames_of(samples, 400, 160)
+        energies = np.sum(frames ** 2, axis=1)
+        kept = energies >= (theta * energies.mean() if relative else theta)
+        assert 0 < kept.sum() < len(kept)
+        want = oracle.energy_gate(samples, cfg)
+        got = energy_gate(make_buffer(samples), cfg).samples
+        assert got.tobytes() == want.tobytes()
+        rows = np.stack([samples, samples[::-1]])
+        got_rows = preprocess_rows(rows, PreprocessConfig(theta=theta, theta_relative=relative,
+                                                          stages=("energy_gate",)), None)
+        assert got_rows[0].tobytes() == want.tobytes()
+        assert got_rows[1].tobytes() == oracle.energy_gate(rows[1], cfg).tobytes()
 
     def test_idempotent_on_stationary_noise_default_config(self, rng):
         cfg = PreprocessConfig()

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from vadpipe import dsp
 from vadpipe.audio_io import PIPELINE_RATE_HZ
 from vadpipe.preprocess import rms_normalize
-from vadpipe.scorer import (MAX_BANDS, MIN_FFT_LEN, FrameScoreMatrix, ReferenceScorer,
-                            ScoreDomainError, ScoreFormatError, _log_mel_excess, load_scores,
+from vadpipe.scorer import (MAX_BANDS, MIN_FFT_LEN, NOISE_FLOOR_PERCENTILE, FrameScoreMatrix,
+                            ReferenceScorer, ScoreDomainError, ScoreFormatError, load_scores,
                             mel_filterbank, slice_scores, write_scores)
 
 from conftest import make_buffer
@@ -98,7 +98,9 @@ def scores_with_fft_len(scorer: ReferenceScorer, rows: np.ndarray, fft_len: int)
     frame_len = int(round(16 * scorer.frame_ms))
     frames = dsp.frame_rows(rows, frame_len, int(round(16 * scorer.hop_ms)))
     power = np.abs(np.fft.rfft(frames * np.hanning(frame_len), n=fft_len)) ** 2
-    return _log_mel_excess(power, mel_filterbank(scorer.bands, fft_len, 16000))
+    log_energy = np.log(power @ mel_filterbank(scorer.bands, fft_len, 16000).T + 1e-10)
+    floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
+    return np.maximum(log_energy - floor, 0.0)
 
 
 class TestFftLength:
