@@ -93,17 +93,7 @@ def aggregate_score(m: FrameScoreMatrix) -> float:
     return float(segment_values(m.scores))
 
 
-def decide_segment(m: FrameScoreMatrix | None, thresh: float,
-                   value: float | None = None) -> SegmentScore:
-    """Label 1 exactly when the aggregate reaches the threshold (inclusive).
-
-    value, when given, is m's aggregate already computed by segment_values,
-    and m may then be None.
-    """
-    if value is None:
-        if m is None:
-            raise TypeError("decide_segment needs a score matrix or a value")
-        value = aggregate_score(m)
-    if math.isnan(value):
-        raise ValueError("segment value must not be NaN")
+def decide_segment(m: FrameScoreMatrix, thresh: float) -> SegmentScore:
+    """Label 1 exactly when the aggregate reaches the threshold (inclusive)."""
+    value = aggregate_score(m)
     return SegmentScore(value, int(value >= thresh), thresh)

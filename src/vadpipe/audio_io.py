@@ -26,6 +26,8 @@ PIPELINE_RATE_HZ = 16000
 # resample splits its output into parallel chunks of at least this many
 # samples: an 8 s clip at 16 kHz is 128,000.
 MIN_RESAMPLE_CHUNK = 8192
+# Taps in each polyphase branch of the resampling filter.
+TAPS_PER_PHASE = 64
 # The sample rates read_wav accepts, in Hz: telephone band to studio rate.
 MIN_RATE_HZ = 8_000
 MAX_RATE_HZ = 192_000
@@ -156,14 +158,14 @@ def write_wav(buf: AudioBuffer, path: str | Path) -> None:
 
 
 @functools.lru_cache(maxsize=16)
-def _design_resample_filter(up: int, down: int, taps_per_phase: int = 64) -> np.ndarray:
+def _design_resample_filter(up: int, down: int) -> np.ndarray:
     """Kaiser windowed-sinc lowpass for polyphase resampling.
 
-    Each of the `up` polyphase branches gets `taps_per_phase` taps and is
+    Each of the `up` polyphase branches gets TAPS_PER_PHASE taps and is
     normalized to unit DC gain so constant signals pass through exactly.
     Built once per ratio; the shared array is read-only.
     """
-    n = taps_per_phase * up + 1  # odd length => symmetric, integer group delay
+    n = TAPS_PER_PHASE * up + 1  # odd length => symmetric, integer group delay
     cutoff = min(1.0 / up, 1.0 / down)  # fraction of the upsampled Nyquist
     m = np.arange(n) - (n - 1) / 2
     h = cutoff * np.sinc(cutoff * m) * np.kaiser(n, beta=8.6)

@@ -17,12 +17,12 @@ from pathlib import Path
 
 from . import parallel
 from .audio_io import ensure_rate, read_wav
-from .evaluate import accuracy_table_markdown, run_eval
-from .pipeline import PipelineConfig, run_pipeline, run_pipeline_on_scores
+from .evaluate import DEFAULT_TARGET_TPR, accuracy_table_markdown, run_eval
+from .pipeline import MODES, PipelineConfig, run_pipeline, run_pipeline_on_scores
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
 from .scorer import ReferenceScorer, load_scores
-from .synth import DEFAULT_SNRS_DB, generate_corpus, read_manifest
+from .synth import DEFAULT_DURATION_S, DEFAULT_SNRS_DB, generate_corpus, read_manifest
 
 
 def _show_float(x: float) -> str:
@@ -178,7 +178,10 @@ def cmd_detect(args, parser) -> int:
         return 0
     paths = list(args.inputs)
     if args.manifest:
-        manifest = read_manifest(args.manifest)
+        try:
+            manifest = read_manifest(args.manifest)
+        except (OSError, ValueError) as exc:
+            parser.error(str(exc))
         paths.extend(str(manifest.resolve(e)) for e in manifest.entries)
     if not paths:
         parser.error("no input files (pass paths or --manifest)")
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--snr", default=",".join(f"{s:g}" for s in DEFAULT_SNRS_DB),
                          help="comma-separated SNR levels in dB for noisy clips")
     p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--duration", type=float, default=8.0, help="clip seconds")
+    p_synth.add_argument("--duration", type=float, default=DEFAULT_DURATION_S, help="clip seconds")
     p_synth.add_argument("--no-stems", action="store_true",
                          help="skip writing clean/noise stems for noisy clips")
     p_synth.add_argument("--out", required=True, help="output directory")
@@ -297,10 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
             ("roc", _print_roc, "FPR at a target TPR per mode")):
         p_report = sub.add_parser(name, help=help_text)
         p_report.add_argument("--manifest", required=True)
-        p_report.add_argument("--modes", default="baseline,vad1,vad2")
+        p_report.add_argument("--modes", default=",".join(MODES))
         p_report.add_argument("--out", help="directory for accuracy.md and roc_<mode>.csv")
         p_report.add_argument("--jobs", type=int, default=parallel.usable_cpus())
-        p_report.add_argument("--target-tpr", type=fraction, default=0.99)
+        p_report.add_argument("--target-tpr", type=fraction, default=DEFAULT_TARGET_TPR)
         _add_config_flags(p_report)
         p_report.set_defaults(func=cmd_report, report=report)
 

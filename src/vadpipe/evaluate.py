@@ -2,8 +2,9 @@
 
 Accuracy is reported per class (clean speech / noisy speech / non-speech).
 For ROC analysis, both speech classes collapse into one positive class and
-the sweep runs over a continuous per-clip statistic, the one the vote
-thresholds (`postprocess.vote_statistic`).
+the sweep runs over a continuous per-clip statistic: the largest of the
+clip's window vote statistics (`postprocess.window_statistics`), the same
+kernel that labels the clip, so its label at threshold t is (statistic >= t).
 """
 
 from __future__ import annotations
@@ -19,11 +20,13 @@ import numpy as np
 from . import parallel
 from .audio_io import ensure_rate, read_wav
 from .pipeline import PipelineConfig, PipelineResult, run_pipeline
-from .postprocess import vote_statistic
+from .postprocess import window_statistics
 from .synth import Manifest
 
 SPEECH_LABELS = ("clean_speech", "noisy_speech")
 CLASS_ORDER = ("non_speech", "clean_speech", "noisy_speech")
+# The TPR at which eval reads the FPR off the ROC curve.
+DEFAULT_TARGET_TPR = 0.99
 _CLASS_TITLES = {"non_speech": "Non-Speech", "clean_speech": "Clean Speech",
                  "noisy_speech": "Noisy Speech"}
 
@@ -98,13 +101,13 @@ def fpr_at_tpr(curve: RocCurve, target_tpr: float) -> float:
 
 
 def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> float:
-    """Continuous per-clip score the ROC threshold sweeps over: the vote
-    statistic, so the pipeline's final label at threshold t equals
+    """Continuous per-clip score the ROC threshold sweeps over: the largest
+    window vote statistic, so the pipeline's final label at threshold t equals
     (statistic >= t) for every t. For the baseline's one value it is that
     value. A windowed mean would instead credit operating points a majority
     vote can never reach (one loud segment lifting a window).
     """
-    return vote_statistic(segment_values, cfg.vote)
+    return float(window_statistics(segment_values, cfg.vote).max())
 
 
 def _evaluate_clip(path: str, cfgs: Sequence[PipelineConfig]) -> list[PipelineResult | str]:
@@ -126,7 +129,7 @@ def _evaluate_clip(path: str, cfgs: Sequence[PipelineConfig]) -> list[PipelineRe
 
 def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
              out_dir: str | Path | None = None, jobs: int = 1,
-             tpr_targets: Sequence[float] = (0.99,)) -> list[EvalReport]:
+             tpr_targets: Sequence[float] = (DEFAULT_TARGET_TPR,)) -> list[EvalReport]:
     """Score every manifest clip under every config and assemble reports.
 
     Each clip is decoded once and scored under every config. At jobs = 1,

@@ -21,13 +21,16 @@ import numpy as np
 
 from . import parallel
 from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio, require_pipeline_rate
-from .aggregate import SegmentScore, decide_segment, segment_values
-from .postprocess import VadDecision, VoteConfig, final_decision, vote_with_fallback
-# preprocess_segment is unused here but kept importable from this module:
-# perfbench/tracing.py wraps each stage function in this namespace.
-from .preprocess import (PreprocessConfig, clip_noise_profile,  # noqa: F401
-                         preprocess_rows_scratch, preprocess_segment, require_finite)
+from .aggregate import segment_values
+from .postprocess import VadDecision, VoteConfig, window_statistics
+from .preprocess import (PreprocessConfig, clip_noise_profile, preprocess_rows_scratch,
+                         require_finite)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
+# Unused here but kept importable from this module, where perfbench/tracing.py's
+# PATCHES wraps each of them; ROADMAP item 1 step B retires PATCHES and deletes them.
+from .aggregate import decide_segment  # noqa: F401
+from .postprocess import final_decision, vote_with_fallback  # noqa: F401
+from .preprocess import preprocess_segment  # noqa: F401
 
 MODES = ("baseline", "vad1", "vad2")
 SCORER_BACKENDS = ("reference", "score-file")
@@ -85,11 +88,7 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class PipelineResult:
     decision: VadDecision
-    segment_scores: tuple[SegmentScore, ...]
-
-    @property
-    def segment_values(self) -> list[float]:
-        return [s.value for s in self.segment_scores]
+    segment_values: list[float]
 
 
 def _segment_len(segment_ms: float) -> int:
@@ -119,12 +118,11 @@ def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
 
 
 def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:
-    """Segment values -> labels -> vote -> final label."""
-    scores = tuple(decide_segment(None, cfg.thresh, v) for v in values.tolist())
-    labels = tuple(s.label for s in scores)
-    windows = vote_with_fallback(labels, cfg.vote)
-    return PipelineResult(VadDecision(labels, tuple(windows), final_decision(windows)),
-                          scores)
+    """Segment values, and their window vote statistics, against the threshold."""
+    labels = (values >= cfg.thresh).astype(int).tolist()
+    windows = (window_statistics(values, cfg.vote) >= cfg.thresh).astype(int).tolist()
+    return PipelineResult(VadDecision(tuple(labels), tuple(windows), max(windows)),
+                          values.tolist())
 
 
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:

@@ -2,7 +2,8 @@
 
 A window of W consecutive segment labels is speech when the vote count
 reaches the quorum; the clip is speech when any window is. The default
-quorum requires strictly more than half the votes (3 of 4 for W=4).
+quorum requires strictly more than half the votes (3 of 4 for W=4). Every
+vote comes from one kernel, `window_statistics`.
 """
 
 from __future__ import annotations
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def default_quorum(window_w: int) -> int:
@@ -52,6 +56,16 @@ def _window_and_quorum(t: int, cfg: VoteConfig) -> tuple[int, int]:
     return t, max(1, math.ceil(cfg.effective_quorum * t / cfg.window_w))
 
 
+def window_statistics(values: Sequence[float], cfg: VoteConfig) -> np.ndarray:
+    """Each window's quorum-th-largest value (see _window_and_quorum): the
+    window's labels (v >= t) reach the quorum exactly when it is >= t."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0 or np.isnan(values).any():
+        raise ValueError("nothing to vote over: no labels, or a NaN value")
+    w, quorum = _window_and_quorum(len(values), cfg)
+    return np.partition(sliding_window_view(values, w), w - quorum, axis=1)[:, w - quorum]
+
+
 def vote_windows(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
     """Vote over every length-W window (stride 1). Requires T >= W.
 
@@ -65,28 +79,7 @@ def vote_windows(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
 
 def vote_with_fallback(labels: Sequence[int], cfg: VoteConfig) -> list[int]:
     """vote_windows, degrading to one whole-input window when T < W."""
-    if len(labels) == 0:
-        raise ValueError("no labels to vote over")
-    w, quorum = _window_and_quorum(len(labels), cfg)
-    running = sum(labels[:w])
-    out = [int(running >= quorum)]
-    for i in range(len(labels) - w):
-        running += labels[i + w] - labels[i]
-        out.append(int(running >= quorum))
-    return out
-
-
-def vote_statistic(values: Sequence[float], cfg: VoteConfig) -> float:
-    """The best quorum-th-largest value over the vote's windows.
-
-    The vote over the labels (v >= t) says speech exactly when this
-    statistic is >= t, for every threshold t. A single value is its own
-    statistic under every VoteConfig.
-    """
-    if len(values) == 0 or any(map(math.isnan, values)):
-        raise ValueError("need values to vote over, none of them NaN")
-    w, quorum = _window_and_quorum(len(values), cfg)
-    return max(sorted(values[i:i + w])[-quorum] for i in range(len(values) - w + 1))
+    return (window_statistics(labels, cfg) >= 1).astype(int).tolist()
 
 
 def final_decision(window_labels: Sequence[int]) -> int:

@@ -29,6 +29,8 @@ from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, write_wav
 LABELS = ("clean_speech", "noisy_speech", "non_speech")
 NOISE_KINDS = ("white", "pink", "babble")
 DEFAULT_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
+DEFAULT_DURATION_S = 8.0
+BABBLE_VOICES = 8
 
 _SILENT_POWER = 1e-16
 # generate_corpus's clip seconds. Clean speech starts at 0.25-0.3 s, maybe in a
@@ -286,14 +288,13 @@ def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
 
 
 def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05,
-                 voices: int = 8) -> AudioBuffer:
+                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
     """Sum of detuned continuous harmonic voices: speech-like spectrum,
     but no single voice dominates and the aggregate envelope stays steady."""
     n = _sample_count(duration_s, sample_rate_hz)
     # per voice: f0, five harmonic phases, AM rate and AM phase
     params = [(rng.uniform(90.0, 280.0), [rng.uniform(0, 2 * np.pi) for _ in range(5)],
-               rng.uniform(2.5, 6.5), rng.uniform(0, 2 * np.pi)) for _ in range(voices)]
+               rng.uniform(2.5, 6.5), rng.uniform(0, 2 * np.pi)) for _ in range(BABBLE_VOICES)]
 
     def fill(lo: int, hi: int) -> np.ndarray:
         t = np.arange(lo, hi) / sample_rate_hz
@@ -327,7 +328,8 @@ def make_noise(kind: str, rng: np.random.Generator, duration_s: float,
 
 def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
                     snr_list: tuple[float, ...] = DEFAULT_SNRS_DB, seed: int = 0,
-                    duration_s: float = 8.0, sample_rate_hz: int = PIPELINE_RATE_HZ,
+                    duration_s: float = DEFAULT_DURATION_S,
+                    sample_rate_hz: int = PIPELINE_RATE_HZ,
                     write_stems: bool = True) -> Manifest:
     """Write WAVs and a manifest for (clean, noisy, non-speech) counts.
 
@@ -342,6 +344,8 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
     if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:   # NaN fails too
         raise ValueError(f"duration must be in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}] s, "
                          f"got {duration_s:g}")
+    if not all(map(math.isfinite, snr_list)):
+        raise ValueError(f"SNR levels must be finite, got {', '.join(map(str, snr_list))}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

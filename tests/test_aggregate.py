@@ -194,19 +194,7 @@ def test_nan_scores_get_no_label():
         decide_segment(FrameScoreMatrix([[np.nan, 1.0]], 10.0), 45.9)
 
 
-def test_nan_value_gets_no_label():
-    with pytest.raises(ValueError, match="NaN"):
-        decide_segment(None, 45.9, float("nan"))
-
-
 def test_overflowing_sum_raises_like_fsum():
     with pytest.raises(OverflowError):
         segment_values(np.full((1, 2, 2), 1e308))
 
-
-def test_decide_segment_with_a_precomputed_value(rng):
-    m = matrix(rng.uniform(0, 3, size=(19, 32)))
-    direct = decide_segment(m, 40.0)
-    assert decide_segment(None, 40.0, direct.value) == direct
-    with pytest.raises(TypeError, match="matrix or a value"):
-        decide_segment(None, 40.0)

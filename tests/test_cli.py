@@ -73,6 +73,15 @@ class TestSynthCommand:
         assert "duration must be in [0.5, 600] s" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "5,nan"])
+    def test_non_finite_snr_is_usage_error_before_any_file(self, tmp_path, capsys, value):
+        out = tmp_path / "c"
+        assert main(["synth", "--clips", "3", "--snr", value, "--duration", "1",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "SNR levels must be finite" in captured.err
+        assert captured.out == "" and not out.exists()
+
     def test_zero_duration_exits_without_traceback_or_warning(self, tmp_path):
         proc = run_cli("synth", "--clips", "1", "--duration", "0", "--out", str(tmp_path / "c"))
         assert proc.returncode == 2
@@ -190,6 +199,18 @@ class TestDetectCommand:
         assert main(["detect", "--mode", "vad1",
                      "--manifest", str(corpus_dir / "manifest.tsv")]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 9
+
+    def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
+        assert main(["detect", "--mode", "vad1", "--manifest", str(tmp_path / "none.tsv")]) == 2
+        captured = capsys.readouterr()
+        assert "none.tsv" in captured.err and captured.out == ""
+
+    def test_malformed_manifest_is_usage_error(self, tmp_path, capsys):
+        manifest = tmp_path / "bad.tsv"
+        manifest.write_text("a.wav\tbogus\tNA\t1.000\n")
+        assert main(["detect", "--mode", "vad1", "--manifest", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert "unknown label 'bogus'" in captured.err and captured.out == ""
 
     def test_score_file_backend(self, tmp_path, capsys):
         scores = tmp_path / "scores.txt"

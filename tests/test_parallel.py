@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vadpipe import dsp, evaluate, parallel, pipeline, preprocess, scorer
+from vadpipe import aggregate, dsp, evaluate, parallel, pipeline, preprocess, scorer
 from vadpipe.audio_io import AudioBuffer, ensure_rate
 from vadpipe.pipeline import MODES, PipelineConfig, run_pipeline, segment_rows
 from vadpipe.preprocess import PreprocessConfig, clip_noise_profile
@@ -230,9 +230,10 @@ def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     buf = noisy(int(2.3 * SR))
     for mode in MODES:
         pipeline.run_pipeline(buf, PipelineConfig(mode=mode, thresh=THRESH))
-    # run_pipeline scores through score_rows; perfbench's replay calls score,
-    # whose 228 frames split across the threads
-    scorer.ReferenceScorer().score(buf)
+    # run_pipeline scores through score_rows and labels its values itself;
+    # perfbench's replay calls score, whose 228 frames split across the
+    # threads, and decide_segment on its matrix
+    aggregate.decide_segment(scorer.ReferenceScorer().score(buf), THRESH)
     manifest = generate_corpus(tmp_path, (1, 1, 1), (5.0,), seed=3, duration_s=1.0,
                                write_stems=False)
     evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])

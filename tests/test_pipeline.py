@@ -67,13 +67,13 @@ class TestRunPipeline:
     def test_baseline_single_decision(self, rng):
         cfg = PipelineConfig(mode="baseline", thresh=10.0)
         result = run_pipeline(make_buffer(rng.standard_normal(32000) * 0.1), cfg)
-        assert len(result.segment_scores) == 1
+        assert len(result.segment_values) == 1
         assert result.decision.per_window == result.decision.per_segment
 
-    def test_vote_modes_emit_per_segment_scores(self, rng):
+    def test_vote_modes_emit_per_segment_values(self, rng):
         cfg = PipelineConfig(mode="vad1", thresh=10.0)
         result = run_pipeline(make_buffer(rng.standard_normal(32000) * 0.1), cfg)
-        assert len(result.segment_scores) == 10
+        assert len(result.segment_values) == 10
         assert len(result.decision.per_window) == 10 - cfg.vote.window_w + 1
 
     def test_deterministic(self, rng):

@@ -4,8 +4,10 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from vadpipe.evaluate import clip_statistic
+from vadpipe.pipeline import PipelineConfig
 from vadpipe.postprocess import (VoteConfig, default_quorum, final_decision,
-                                 vote_statistic, vote_windows, vote_with_fallback)
+                                 vote_windows, vote_with_fallback, window_statistics)
 
 
 def oracle_votes(labels, w, quorum):
@@ -123,22 +125,33 @@ class TestVoteStatistic:
             self, cfg, values, data):
         t = data.draw(finite_floats | st.sampled_from(values))
         labels = [int(v >= t) for v in values]
-        assert final_decision(vote_with_fallback(labels, cfg)) == \
-            int(vote_statistic(values, cfg) >= t)
+        windows = vote_with_fallback(labels, cfg)
+        assert (window_statistics(values, cfg) >= t).astype(int).tolist() == windows
+        # T < W votes once over all T labels, the quorum scaled (never below 1)
+        w = min(cfg.window_w, len(values))
+        quorum = max(1, math.ceil(cfg.effective_quorum * w / cfg.window_w))
+        assert windows == oracle_votes(labels, w, quorum)
+        assert final_decision(windows) == \
+            int(clip_statistic(values, PipelineConfig(vote=cfg)) >= t)
 
     @given(vote_configs, finite_floats)
     def test_single_value_is_its_own_statistic(self, cfg, value):
-        assert vote_statistic([value], cfg) == value
+        assert window_statistics([value], cfg).tolist() == [value]
+        assert clip_statistic([value], PipelineConfig(vote=cfg)) == value
 
     def test_short_input_scales_quorum(self):
         # T = 2 < W = 4: one window, quorum ceil(3 * 2 / 4) = 2
-        assert vote_statistic([5.0, 9.0], VoteConfig(4)) == 5.0
+        assert window_statistics([5.0, 9.0], VoteConfig(4)).tolist() == [5.0]
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            vote_statistic([], VoteConfig(4))
+            window_statistics([], VoteConfig(4))
+        with pytest.raises(ValueError):
+            clip_statistic([], PipelineConfig())
 
     @pytest.mark.parametrize("values", [[math.nan], [50.0, math.nan, 60.0, 70.0, 80.0]])
     def test_nan_rejected(self, values):
         with pytest.raises(ValueError, match="NaN"):
-            vote_statistic(values, VoteConfig(4))
+            window_statistics(values, VoteConfig(4))
+        with pytest.raises(ValueError, match="NaN"):
+            clip_statistic(values, PipelineConfig())

@@ -175,6 +175,12 @@ class TestGenerateCorpus:
             generate_corpus(tmp_path / "c", (1, 1, 1), duration_s=duration_s)
         assert not (tmp_path / "c").exists()
 
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf])
+    def test_non_finite_snr_rejected_before_any_file(self, tmp_path, snr):
+        with pytest.raises(ValueError, match="SNR levels must be finite"):
+            generate_corpus(tmp_path / "c", (1, 1, 1), snr_list=(5.0, snr), duration_s=1.0)
+        assert not (tmp_path / "c").exists()
+
     def test_shortest_clean_clip_is_never_silent(self):
         # a clean clip's speech starts at 0.25 s or later, so a shorter
         # clip could be all zeros and still be labelled clean_speech
