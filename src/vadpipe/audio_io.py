@@ -147,14 +147,22 @@ def _extensible_format(path, body: bytes) -> int:
 
 
 def write_wav(buf: AudioBuffer, path: str | Path) -> None:
-    """Write a buffer as mono 16-bit PCM. Samples are clamped, not wrapped."""
-    quantized = np.clip(np.rint(buf.samples * _PCM16_FULL_SCALE), -32768, 32767)
-    payload = quantized.astype("<i2").tobytes()
+    """Write a buffer as mono 16-bit PCM. Samples are clamped, not wrapped;
+    NaN or infinite ones are rejected."""
+    if not np.isfinite(buf.samples).all():
+        raise ValueError(f"{path}: cannot write non-finite samples")
+    quantized = np.multiply(buf.samples, _PCM16_FULL_SCALE)
+    np.rint(quantized, out=quantized)
+    np.clip(quantized, -32768, 32767, out=quantized)
+    size = 2 * len(quantized)
     rate = buf.sample_rate_hz
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header = b"RIFF" + struct.pack("<I", 36 + size) + b"WAVE"
     header += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, rate, rate * 2, 2, 16)
-    header += b"data" + struct.pack("<I", len(payload))
-    Path(path).write_bytes(header + payload)
+    header += b"data" + struct.pack("<I", size)
+    blob = bytearray(len(header) + size)
+    blob[:len(header)] = header
+    np.frombuffer(blob, "<i2", offset=len(header))[:] = quantized   # exact: whole, in range
+    Path(path).write_bytes(blob)
 
 
 @functools.lru_cache(maxsize=16)

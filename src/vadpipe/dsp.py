@@ -119,8 +119,14 @@ def frame_rows(rows: np.ndarray, frame_len: int, hop: int,
 
 
 def frame_view(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    """Every frame of the last axis that fits, as a read-only strided view."""
-    return np.lib.stride_tricks.sliding_window_view(padded, frame_len, axis=-1)[..., ::hop, :]
+    """Every frame of the last axis that fits, as a read-only strided view:
+    sliding_window_view(padded, frame_len, axis=-1)[..., ::hop, :], built in
+    one call."""
+    *lead, length = padded.shape
+    step = padded.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        padded, (*lead, (length - frame_len) // hop + 1, frame_len),
+        (*padded.strides[:-1], hop * step, step), writeable=False)
 
 
 def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+
+from . import dsp
 
 
 def default_quorum(window_w: int) -> int:
@@ -63,7 +64,7 @@ def window_statistics(values: Sequence[float], cfg: VoteConfig) -> np.ndarray:
     if values.size == 0 or np.isnan(values).any():
         raise ValueError("nothing to vote over: no labels, or a NaN value")
     w, quorum = _window_and_quorum(len(values), cfg)
-    return np.partition(sliding_window_view(values, w), w - quorum, axis=1)[:, w - quorum]
+    return np.partition(dsp.frame_view(values, w, 1), w - quorum, axis=1)[:, w - quorum]
 
 
 def vote_windows(labels: Sequence[int], cfg: VoteConfig) -> list[int]:

@@ -4,8 +4,12 @@ Clips come in three classes: clean "speech surrogate" (a modulated harmonic
 stack with silence gaps), noisy speech (surrogate mixed with noise at an
 exact SNR), and non-speech (noise alone). Generation is fully seeded: the
 same seed always produces byte-identical files and manifest. A generator
-draws its random values first, then fills its samples as parallel chunks
-(`_chunked`), which give the same bytes on any number of CPUs.
+draws its random values first, then fills its samples block by block
+(`_chunked`): blocks of `MIN_CHUNK_SAMPLES`, small enough that a block's
+temporaries stay in cache, dealt round-robin to one part per CPU. Each block
+is written in place into the one output array, and its temporaries live in
+per-thread scratch buffers (`dsp.scratch`), so the same bytes come out on
+any number of CPUs without a fresh whole-clip array per step.
 
 A term is computed only over the samples where it can change a bit of the
 result. A noise swell is added only within `SWELL_REACH_SIGMAS` of its
@@ -23,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import parallel
+from . import dsp, parallel
 from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, write_wav
 
 LABELS = ("clean_speech", "noisy_speech", "non_speech")
@@ -37,10 +41,13 @@ _SILENT_POWER = 1e-16
 # syllabic notch: of 3,000 seeds, 15 clips of 0.35 s were silent, none of 0.37 s.
 MIN_DURATION_S = 0.5
 MAX_DURATION_S = 600.0   # ten minutes: a clip is held as a few float64 arrays
-# A clip's samples are filled as parallel chunks of at least this many
-# samples (see parallel.map_chunks); shorter clips run inline. On a 2-vCPU
-# Xeon VM two chunks of 16,384 samples beat one inline pass for every
-# generator, while two of 8,192 were slower for white noise.
+# A clip's samples are filled in blocks of this many samples (the last one
+# shorter), and each parallel part gets at least one whole block; shorter
+# clips run inline. A block's temporaries take 128 KiB a row, and a fill
+# holds at most nine rows (babble's), which fit a core's L2 cache. On a
+# 2-vCPU Xeon VM (2 MiB of L2 a core) two parts of 16,384 samples beat one
+# inline pass for every generator, and blocks of 8,192 were slower than
+# blocks of 16,384 for every generator.
 MIN_CHUNK_SAMPLES = 16384
 # A noise swell gain * exp(-0.5 * ((t - c) / w)^2) is added only within this
 # many sigmas w of its centre c. The envelope it is added to is at least
@@ -78,7 +85,7 @@ class Manifest:
 
 
 def _power(x: np.ndarray) -> float:
-    return float(np.mean(x ** 2))
+    return float(np.mean(np.square(x, out=dsp.scratch("synth._power", x.shape))))
 
 
 def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
@@ -116,7 +123,7 @@ def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
     clean_part = clean.samples.copy()
     noise_part = gain * noise_fit
     mixed = clean_part + noise_part
-    peak = float(np.max(np.abs(mixed)))
+    peak = float(max(mixed.max(), -mixed.min()))   # max |mixed|, NaN if any is NaN
     if peak > 1.0:
         clean_part /= peak
         noise_part /= peak
@@ -152,14 +159,44 @@ def _within(span: tuple[int, int], lo: int, hi: int) -> slice:
     return slice(max(span[0], lo) - lo, max(min(span[1], hi), lo) - lo)
 
 
-def _chunked(fill, n: int) -> np.ndarray:
-    """fill(lo, hi) for each chunk of range(n) on the parallel pool, joined.
+def _chunked(fill, out: np.ndarray) -> np.ndarray:
+    """out, written block by block in place as fill(lo, hi, out[lo:hi]).
 
-    Every sample depends only on its own time and on parameters drawn
-    beforehand, and numpy's ufuncs give the same bits at any offset, so the
-    samples do not depend on the chunking. fill must call only numpy.
+    range(len(out)) is cut into blocks of MIN_CHUNK_SAMPLES, dealt
+    round-robin to one part per thread of the caller's budget (at most one
+    per whole block), so bursts and swells spread evenly; the parts run on
+    the parallel pool. Every sample depends only on its own time, its own
+    value in out and parameters drawn beforehand, and numpy's ufuncs give
+    the same bits at any offset, so the samples do not depend on the blocks
+    or the parts. fill must call only numpy, and keep its temporaries in
+    dsp.scratch.
     """
-    return np.concatenate(parallel.map_chunks(fill, n, MIN_CHUNK_SAMPLES))
+    n, size = len(out), MIN_CHUNK_SAMPLES
+    parts = max(1, min(n // size, parallel.threads()))
+
+    def part(first: int, _stop: int) -> None:
+        for lo in range(first * size, n, parts * size):
+            hi = min(lo + size, n)
+            fill(lo, hi, out[lo:hi])
+
+    parallel.map_chunks(part, parts)
+    return out
+
+
+def _times(lo: int, hi: int, sample_rate_hz: int) -> np.ndarray:
+    """The times in seconds of samples [lo, hi)."""
+    t = np.arange(lo, hi, dtype=np.float64)   # exact integers (below 2**53)
+    t /= sample_rate_hz
+    return t
+
+
+def _sines(t: np.ndarray, rates, phases, key: str) -> np.ndarray:
+    """sin(rates * t + phases) in this thread's scratch under key: one row
+    per row of the column arrays rates and phases, or one sine for scalars."""
+    s = dsp.scratch(key, np.broadcast_shapes(np.shape(rates), t.shape))
+    np.multiply(t, rates, out=s)
+    s += phases
+    return np.sin(s, out=s)
 
 
 def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
@@ -202,34 +239,50 @@ def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
     syl_period = rng.uniform(0.14, 0.19)
     syl_phase = rng.uniform(0, 2 * np.pi)
 
-    def fill(lo: int, hi: int) -> np.ndarray:
-        t = np.arange(lo, hi) / sample_rate_hz
-        tone = np.zeros(hi - lo)
-        for k, phase in enumerate(phases, start=1):
-            # gentle rolloff keeps energy in the upper harmonics, where
-            # low-frequency-heavy backgrounds mask least
-            tone += (1.0 / math.sqrt(k)) * np.sin(2.0 * np.pi * k * f0 * t + phase)
+    harmonics = np.arange(1, 6)[:, None]   # one row per harmonic k
+    rates, offsets = 2.0 * np.pi * harmonics * f0, np.array(phases)[:, None]
+    # gentle rolloff keeps energy in the upper harmonics, where
+    # low-frequency-heavy backgrounds mask least
+    gains = 1.0 / np.sqrt(harmonics)
+
+    def fill(lo: int, hi: int, x: np.ndarray) -> None:
+        t = _times(lo, hi, sample_rate_hz)
+        terms = _sines(t, rates, offsets, "synth.sines")
+        terms *= gains
+        tone = dsp.scratch("synth.tone", t.shape)
+        tone.fill(0.0)
+        for term in terms:
+            tone += term
         # a sample is ((tone * am) * mask) * syl with am > 0 and syl >= +0.0,
         # so where mask is +0.0 it is tone * 0.0, sign of zero included
-        x = tone * 0.0
+        np.multiply(tone, 0.0, out=x)
         for span in bursts:
             s = _within(span, lo, hi)
-            am = 0.85 + 0.15 * np.sin(2.0 * np.pi * 4.0 * t[s] + am_phase)
-            syl = np.sin(2 * np.pi * t[s] / syl_period + syl_phase)
-            syl = np.clip((syl + 0.45) / 0.6, 0.0, 1.0)
-            x[s] = tone[s] * am * mask[lo:hi][s] * syl
-        return x
+            am = _sines(t[s], 2.0 * np.pi * 4.0, am_phase, "synth.am")
+            am *= 0.15
+            am += 0.85
+            syl = np.multiply(t[s], 2 * np.pi, out=dsp.scratch("synth.syl", am.shape))
+            syl /= syl_period
+            syl += syl_phase
+            np.sin(syl, out=syl)
+            syl += 0.45
+            syl /= 0.6
+            np.clip(syl, 0.0, 1.0, out=syl)
+            xs = np.multiply(tone[s], am, out=x[s])
+            xs *= mask[lo:hi][s]
+            xs *= syl
 
-    x = _chunked(fill, n)
+    x = _chunked(fill, np.empty(n))
     rms = math.sqrt(_power(x))
     level = rng.uniform(0.08, 0.2)
     x *= level / max(rms, 1e-12)
-    return AudioBuffer(np.clip(x, -1.0, 1.0), sample_rate_hz)
+    return AudioBuffer(np.clip(x, -1.0, 1.0, out=x), sample_rate_hz)
 
 
-def _unsteady_envelope(rng: np.random.Generator, n: int,
+def _unsteady_envelope(rng: np.random.Generator, x: np.ndarray,
                        sample_rate_hz: int) -> np.ndarray:
-    """Slow level drift plus a few short swells (door slams, passing cars).
+    """x times an envelope of slow level drift plus a few short swells (door
+    slams, passing cars), in place.
 
     Environmental noise is not statistically flat; these transients are what
     give whole-clip statistics trouble while staying too brief to win a
@@ -238,7 +291,7 @@ def _unsteady_envelope(rng: np.random.Generator, n: int,
     depth_db = rng.uniform(0.5, 2.5)
     drift_hz = rng.uniform(0.08, 0.3)
     drift_phase = rng.uniform(0, 2 * np.pi)
-    duration = n / sample_rate_hz
+    duration = len(x) / sample_rate_hz
     # event density varies a lot clip to clip; individual events stay brief
     swells = [(rng.uniform(0.0, duration),  # center
                rng.uniform(0.05, 0.2),  # gaussian sigma, seconds
@@ -249,16 +302,24 @@ def _unsteady_envelope(rng: np.random.Generator, n: int,
               math.ceil((center + SWELL_REACH_SIGMAS * width) * sample_rate_hz) + 1)
              for center, width, _ in swells]
 
-    def fill(lo: int, hi: int) -> np.ndarray:
-        t = np.arange(lo, hi) / sample_rate_hz
-        drift_db = depth_db * np.sin(2 * np.pi * drift_hz * t + drift_phase)
-        env = 10.0 ** (drift_db / 20.0)
+    def fill(lo: int, hi: int, block: np.ndarray) -> None:
+        t = _times(lo, hi, sample_rate_hz)
+        env = _sines(t, 2 * np.pi * drift_hz, drift_phase, "synth.envelope")
+        env *= depth_db   # the drift in dB
+        env /= 20.0
+        np.power(10.0, env, out=env)
         for (center, width, gain), span in zip(swells, spans):
             s = _within(span, lo, hi)
-            env[s] += gain * np.exp(-0.5 * ((t[s] - center) / width) ** 2)
-        return env
+            swell = np.subtract(t[s], center, out=dsp.scratch("synth.swell", t[s].shape))
+            swell /= width
+            np.square(swell, out=swell)
+            swell *= -0.5
+            np.exp(swell, out=swell)
+            swell *= gain
+            env[s] += swell
+        block *= env
 
-    return _chunked(fill, n)
+    return _chunked(fill, x)
 
 
 def _at_rms(x: np.ndarray, rms: float, sample_rate_hz: int) -> AudioBuffer:
@@ -266,13 +327,13 @@ def _at_rms(x: np.ndarray, rms: float, sample_rate_hz: int) -> AudioBuffer:
     if not 0.0 < rms < math.inf:   # NaN fails too
         raise ValueError(f"rms must be positive and finite, got {rms}")
     x *= rms / math.sqrt(_power(x))
-    return AudioBuffer(np.clip(x, -1.0, 1.0), sample_rate_hz)
+    return AudioBuffer(np.clip(x, -1.0, 1.0, out=x), sample_rate_hz)
 
 
 def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
     n = _sample_count(duration_s, sample_rate_hz)
-    x = rng.standard_normal(n) * _unsteady_envelope(rng, n, sample_rate_hz)
+    x = _unsteady_envelope(rng, rng.standard_normal(n), sample_rate_hz)
     return _at_rms(x, rms, sample_rate_hz)
 
 
@@ -282,8 +343,8 @@ def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
     freqs[0] = freqs[1]
-    x = np.fft.irfft(spectrum / np.sqrt(freqs), n=n)
-    x *= _unsteady_envelope(rng, n, sample_rate_hz)
+    spectrum /= np.sqrt(freqs, out=freqs)
+    x = _unsteady_envelope(rng, np.fft.irfft(spectrum, n=n), sample_rate_hz)
     return _at_rms(x, rms, sample_rate_hz)
 
 
@@ -296,19 +357,30 @@ def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
     params = [(rng.uniform(90.0, 280.0), [rng.uniform(0, 2 * np.pi) for _ in range(5)],
                rng.uniform(2.5, 6.5), rng.uniform(0, 2 * np.pi)) for _ in range(BABBLE_VOICES)]
 
-    def fill(lo: int, hi: int) -> np.ndarray:
-        t = np.arange(lo, hi) / sample_rate_hz
-        x = np.zeros(hi - lo)
-        for f0, phases, am_hz, am_phase in params:
-            voice = np.zeros(hi - lo)
-            for k, phase in enumerate(phases, start=1):
-                voice += (1.0 / k) * np.sin(2 * np.pi * k * f0 * t + phase)
-            am = 0.88 + 0.12 * np.sin(2 * np.pi * am_hz * t + am_phase)
-            x += voice * am
-        return x
+    # per voice, one row per sine: its five harmonics k, then its AM
+    harmonics = np.arange(1, 6)[:, None]
+    voices = [(np.vstack([2 * np.pi * harmonics * f0, [[2 * np.pi * am_hz]]]),
+               np.array(phases + [am_phase])[:, None])
+              for f0, phases, am_hz, am_phase in params]
+    gains = 1.0 / harmonics
 
-    x = _chunked(fill, n)
-    x *= _unsteady_envelope(rng, n, sample_rate_hz)
+    def fill(lo: int, hi: int, x: np.ndarray) -> None:
+        t = _times(lo, hi, sample_rate_hz)
+        voice = dsp.scratch("synth.voice", t.shape)
+        x.fill(0.0)
+        for rates, offsets in voices:
+            sines = _sines(t, rates, offsets, "synth.sines")
+            terms, am = sines[:-1], sines[-1]
+            terms *= gains
+            voice.fill(0.0)
+            for term in terms:
+                voice += term
+            am *= 0.12
+            am += 0.88
+            voice *= am
+            x += voice
+
+    x = _unsteady_envelope(rng, _chunked(fill, np.empty(n)), sample_rate_hz)
     return _at_rms(x, rms, sample_rate_hz)
 
 

@@ -238,6 +238,19 @@ class TestWriteWav:
             back = read_wav(path)
             assert np.max(np.abs(back.samples - samples)) <= 1 / 32768
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, tmp_path, bad):
+        path = tmp_path / "bad.wav"
+        with pytest.raises(ValueError, match=f"{path.name}.*non-finite"):
+            write_wav(make_buffer([0.1, bad, 0.2]), path)
+        assert not path.exists()
+
+    def test_input_samples_unchanged(self, tmp_path, rng):
+        samples = rng.uniform(-1.5, 1.5, size=1001)
+        buf = make_buffer(samples.copy())
+        write_wav(buf, tmp_path / "u.wav")
+        assert buf.samples.tobytes() == samples.tobytes()
+
 
 class TestResample:
     def test_length_ratio_48k_to_16k(self, rng):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from vadpipe import dsp
+from vadpipe import dsp, postprocess
 from vadpipe.audio_io import AudioBuffer
 
 from conftest import make_buffer
@@ -49,6 +50,36 @@ class TestFrameSignal:
             assert grid.num_frames == expected
             # every frame starts at m*hop
             assert (grid.num_frames - 1) * hop < length
+
+
+def assert_same_view(got, x, frame_len, hop):
+    want = sliding_window_view(x, frame_len, axis=-1)[..., ::hop, :]
+    assert got.shape == want.shape and got.strides == want.strides
+    assert np.array_equal(got, want)
+    assert not got.flags.writeable and not want.flags.writeable
+    assert np.shares_memory(got, x)
+
+
+@pytest.mark.parametrize("shape,frame_len,hop,cut", [
+    ((1000,), 512, 128, None),
+    ((3, 1000), 400, 160, None),
+    ((2, 1300), 512, 128, (37, 1061)),   # a column slice, as preprocess frames one
+    ((2, 3, 700), 256, 64, None),
+    ((512,), 512, 128, None),
+])
+def test_frame_view_is_sliding_window_view(rng, shape, frame_len, hop, cut):
+    x = rng.standard_normal(shape)
+    if cut is not None:
+        x = x[..., cut[0]:cut[1]]
+    assert_same_view(dsp.frame_view(x, frame_len, hop), x, frame_len, hop)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5, 40])
+def test_vote_windows_are_sliding_window_views(rng, count):
+    # T < W = 4 votes once over all T values (the short-clip vote)
+    w, _ = postprocess._window_and_quorum(count, postprocess.VoteConfig(4))
+    values = rng.standard_normal(count)
+    assert_same_view(dsp.frame_view(values, w, 1), values, w, 1)
 
 
 class TestStftIstft:

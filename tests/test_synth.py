@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vadpipe import parallel
 from vadpipe.audio_io import AudioBuffer, read_wav
 from vadpipe.synth import (LABELS, MIN_DURATION_S, Manifest, ManifestEntry, babble_noise,
                            generate_corpus, make_noise, measured_snr_db,
@@ -48,6 +49,19 @@ class TestMixAtSnr:
         mix = mix_at_snr_with_stems(clean, noise, 0.0)
         assert np.max(np.abs(mix.mixed.samples)) <= 1.0
         assert measured_snr_db(mix.clean, mix.noise) == pytest.approx(0.0, abs=0.01)
+
+    @pytest.mark.parametrize("noise_len,snr", [(8000, 5.0), (1000, 5.0), (8000, -20.0)])
+    def test_inputs_unchanged(self, rng, noise_len, snr):
+        # -20 dB needs the joint peak rescale; a short noise is looped
+        clean_samples = rng.standard_normal(8000) * 0.1
+        noise_samples = rng.standard_normal(noise_len) * 0.1
+        clean, noise = make_buffer(clean_samples.copy()), make_buffer(noise_samples.copy())
+        mix = mix_at_snr_with_stems(clean, noise, snr)
+        assert clean.samples.tobytes() == clean_samples.tobytes()
+        assert noise.samples.tobytes() == noise_samples.tobytes()
+        for stem in (mix.mixed, mix.clean, mix.noise):
+            assert not np.shares_memory(stem.samples, clean.samples)
+            assert not np.shares_memory(stem.samples, noise.samples)
 
     def test_short_noise_is_looped(self, rng):
         clean = make_buffer(rng.standard_normal(8000) * 0.1)
@@ -95,6 +109,22 @@ class TestGenerators:
         assert np.array_equal(a.samples, b.samples)
         assert np.max(np.abs(a.samples)) <= 1.0
         assert len(a) == 32000
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("gen", [speech_surrogate, white_noise, pink_noise, babble_noise])
+    def test_a_second_call_leaves_the_first_result_unchanged(self, gen, threads):
+        # the fills reuse per-thread scratch buffers from call to call;
+        # 2.5 s at 16 kHz is 40,000 samples, two parts at two threads
+        parallel.set_threads(threads)
+        try:
+            first = gen(np.random.default_rng(1), 2.5)
+            kept = first.samples.copy()
+            second = gen(np.random.default_rng(2), 2.5)
+        finally:
+            parallel.set_threads(None)
+        assert first.samples.tobytes() == kept.tobytes()
+        assert not np.array_equal(first.samples, second.samples)
+        assert not np.shares_memory(first.samples, second.samples)
 
     def test_surrogate_has_silence_gaps(self):
         buf = speech_surrogate(np.random.default_rng(3), 8.0)
