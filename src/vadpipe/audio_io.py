@@ -37,6 +37,9 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 _KSDATAFORMAT_SUFFIX = bytes.fromhex("0000 0000 1000 8000 00aa 00389b71")
 # 16-bit scaling: divide by 32768 on read, clamp to [-32768, 32767] on write.
 _PCM16_FULL_SCALE = 32768.0
+# The largest sample magnitude the pipeline takes: far above any gain, and
+# far below where a frame's power overflows (a 1e200 sample squares to inf).
+MAX_SAMPLE_MAGNITUDE = 1e100
 
 
 class WavFormatError(ValueError):
@@ -232,7 +235,18 @@ def require_pipeline_rate(buf: AudioBuffer) -> None:
 
 
 def require_pipeline_audio(buf: AudioBuffer) -> None:
-    """Raise ValueError unless buf is at PIPELINE_RATE_HZ, with finite samples."""
+    """Raise ValueError unless buf is at PIPELINE_RATE_HZ, with finite
+    samples of magnitude at most MAX_SAMPLE_MAGNITUDE."""
     require_pipeline_rate(buf)
-    if not np.isfinite(buf.samples).all():
+    x = buf.samples
+    # A sum of squares below the bound's square clears every sample in one
+    # BLAS pass; only a clip that fails it is looked at sample by sample.
+    with np.errstate(over="ignore"):
+        if np.dot(x, x) < MAX_SAMPLE_MAGNITUDE ** 2:
+            return
+    if not np.isfinite(x).all():
         raise ValueError("audio samples must be finite")
+    peak = np.abs(x).max()
+    if peak > MAX_SAMPLE_MAGNITUDE:
+        raise ValueError(f"audio samples must have magnitude at most {MAX_SAMPLE_MAGNITUDE:g}, "
+                         f"got {float(peak)}")

@@ -20,6 +20,8 @@ from .preprocess import require_finite
 from . import dsp, parallel
 
 _LOG_FLOOR = 1e-10
+# Each band's noise floor is this percentile of its log energies over a
+# row's frames, by numpy's 'linear' method (see _noise_floor).
 NOISE_FLOOR_PERCENTILE = 10.0
 # The scorer's FFT length: the smallest power of two that holds a whole
 # frame, and at least this many points (a 25 ms frame at 16 kHz is 400).
@@ -147,7 +149,9 @@ class ReferenceScorer:
     def score_rows(self, rows: np.ndarray, filterbank: np.ndarray | None = None) -> np.ndarray:
         """Scores of every row of a (T, n) array: (T, frames, bands).
 
-        Each row gets its own noise floor, exactly as if scored alone.
+        Each row gets its own noise floor, exactly as if scored alone: each
+        band's NOISE_FLOOR_PERCENTILE-th percentile of log energy over the
+        row's frames, selected by sorting a band-major copy (_noise_floor).
         filterbank is this scorer's, when the caller has looked it up already.
         Rows of at least 2 * MIN_CHUNK_FRAMES frames, such as the baseline's
         whole clip, are windowed, transformed and projected onto the mel
@@ -173,8 +177,23 @@ class ReferenceScorer:
             np.log(power @ filterbank.T + _LOG_FLOOR, out=log_energy[:, start:stop])
 
         parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)
-        floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
-        return np.maximum(log_energy - floor, 0.0)
+        return np.maximum(log_energy - _noise_floor(log_energy), 0.0)
+
+
+def _noise_floor(log_energy: np.ndarray) -> np.ndarray:
+    """np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True),
+    bit for bit on finite input without -0.0, at about a quarter of its cost:
+    numpy's SIMD sort of a contiguous band-major copy, then the two order
+    statistics of numpy's 'linear' method, interpolated as its _lerp does."""
+    ordered = np.swapaxes(log_energy, -1, -2).copy()
+    ordered.sort(axis=-1)
+    n = ordered.shape[-1]
+    index = (n - 1) * (NOISE_FLOOR_PERCENTILE / 100)
+    lo = math.floor(index)
+    gamma = index - lo
+    a, b = ordered[..., lo], ordered[..., min(lo + 1, n - 1)]
+    floor = b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma
+    return floor[..., None, :]
 
 
 @functools.lru_cache(maxsize=16)

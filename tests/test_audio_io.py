@@ -9,8 +9,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import resample_poly
 
 from vadpipe import audio_io, parallel, synth
-from vadpipe.audio_io import (AudioBuffer, UnsupportedCodecError, UnsupportedRateError,
-                              WavFormatError, read_wav, resample, write_wav)
+from vadpipe.audio_io import (MAX_SAMPLE_MAGNITUDE, AudioBuffer, UnsupportedCodecError,
+                              UnsupportedRateError, WavFormatError, read_wav,
+                              require_pipeline_audio, resample, write_wav)
 
 from conftest import make_buffer
 
@@ -371,3 +372,29 @@ class TestAudioBuffer:
 
     def test_duration(self):
         assert make_buffer(np.zeros(8000)).duration_s == 0.5
+
+
+class TestRequirePipelineAudio:
+    @pytest.mark.parametrize("samples", [
+        np.zeros(0),
+        np.full(1000, MAX_SAMPLE_MAGNITUDE),  # its sum of squares is past the bound's square
+        np.full(3, -MAX_SAMPLE_MAGNITUDE),
+        np.r_[np.zeros(99), np.nextafter(MAX_SAMPLE_MAGNITUDE, 0.0)],
+    ])
+    def test_samples_up_to_the_bound_are_taken(self, samples):
+        require_pipeline_audio(make_buffer(samples))
+
+    @pytest.mark.parametrize("peak", [np.nextafter(MAX_SAMPLE_MAGNITUDE, np.inf),
+                                      -2 * MAX_SAMPLE_MAGNITUDE, 1e200, -1e300])
+    def test_a_sample_past_the_bound_is_refused(self, peak):
+        samples = np.zeros(1000)
+        samples[500] = peak
+        with pytest.raises(ValueError, match="magnitude at most 1e\\+100"):
+            require_pipeline_audio(make_buffer(samples))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_beats_the_bound(self, bad):
+        samples = np.full(1000, 1e200)
+        samples[0] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            require_pipeline_audio(make_buffer(samples))

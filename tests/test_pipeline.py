@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vadpipe.aggregate import aggregate_score, decide_segment
-from vadpipe.audio_io import AudioBuffer, ensure_rate
+from vadpipe.audio_io import MAX_SAMPLE_MAGNITUDE, AudioBuffer, ensure_rate
 from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
                                 preprocess_segment, rms_normalize, spectral_subtract)
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
@@ -155,11 +157,39 @@ def test_all_nan_clip_gets_no_label(mode):
         run_pipeline(make_buffer(np.full(16000, np.nan)), PipelineConfig(mode=mode))
 
 
-# Label invariance under gain (ROADMAP item 5): RMS normalization and the
-# scorer's per-band percentile floor cancel a gain, except where band
-# energies come near the scorer's absolute _LOG_FLOOR (1e-10). Band-limited
-# signals reach it: babble's upper mel bands have median energies of 3e-5
-# down to 2e-12. With the floor at 1e-300 no label below changes.
+# Finite samples can still overflow a frame's power: at 1e200, vad2 used to
+# label the clip 0 from all-zero values, and baseline and vad1 to fail on
+# NaN scores. Such samples are refused up front (audio_io.MAX_SAMPLE_MAGNITUDE).
+@pytest.mark.parametrize("mode", ["baseline", "vad1", "vad2"])
+def test_overflowing_samples_get_no_label(mode, rng):
+    with pytest.raises(ValueError, match="magnitude at most 1e\\+100"):
+        run_pipeline(make_buffer(rng.standard_normal(16000) * 1e200), PipelineConfig(mode=mode))
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_overflowing_samples_are_refused(name, rng):
+    with pytest.raises(ValueError, match="magnitude at most 1e\\+100"):
+        GUARDED[name](make_buffer(rng.standard_normal(16000) * 1e200))
+
+
+@pytest.mark.parametrize("mode", ["baseline", "vad1", "vad2"])
+def test_samples_at_the_bound_run_without_overflow(mode, rng):
+    x = rng.standard_normal(16000)
+    buf = make_buffer(x * (MAX_SAMPLE_MAGNITUDE / np.abs(x).max()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = run_pipeline(buf, PipelineConfig(mode=mode))
+        scores = ReferenceScorer().score(buf).scores
+    assert np.all(np.isfinite(result.segment_values))
+    assert np.all(np.isfinite(scores))
+
+
+# Label invariance under gain (ROADMAP item 4, the log floor): RMS
+# normalization and the scorer's per-band percentile floor cancel a gain,
+# except where band energies come near the scorer's absolute _LOG_FLOOR
+# (1e-10). Band-limited signals reach it: babble's upper mel bands have
+# median energies of 3e-5 down to 2e-12. With the floor at 1e-300 no label
+# below changes.
 GAINS = (0.1, 0.3, 3.0, 5.0, 10.0)
 LOG_FLOOR_XFAIL = pytest.mark.xfail(
     strict=True, reason="the absolute _LOG_FLOOR does not scale with the gain")

@@ -7,7 +7,7 @@ from vadpipe.audio_io import PIPELINE_RATE_HZ
 from vadpipe.preprocess import rms_normalize
 from vadpipe.scorer import (MAX_BANDS, MIN_FFT_LEN, NOISE_FLOOR_PERCENTILE, FrameScoreMatrix,
                             ReferenceScorer, ScoreDomainError, ScoreFormatError, load_scores,
-                            mel_filterbank, slice_scores, write_scores)
+                            _noise_floor, mel_filterbank, slice_scores, write_scores)
 
 from conftest import make_buffer
 
@@ -101,6 +101,50 @@ def scores_with_fft_len(scorer: ReferenceScorer, rows: np.ndarray, fft_len: int)
     log_energy = np.log(power @ mel_filterbank(scorer.bands, fft_len, 16000).T + 1e-10)
     floor = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
     return np.maximum(log_energy - floor, 0.0)
+
+
+def assert_floor_is_percentile(log_energy: np.ndarray):
+    want = np.percentile(log_energy, NOISE_FLOOR_PERCENTILE, axis=-2, keepdims=True)
+    got = _noise_floor(log_energy)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# The floor's input values: finite, and never -0.0. np.log never returns
+# -0.0 (log(1.0) is +0.0), and a floor of -0.0 could not change
+# log_energy - floor anyway. A sort and a partition may order a tie of -0.0
+# and 0.0 either way, so with -0.0 the two could pick different zeros.
+# Values within 1e300 keep b - a of the interpolation finite.
+floor_values = st.floats(-1e300, 1e300, allow_nan=False).map(lambda v: v + 0.0)
+
+
+@st.composite
+def log_energies(draw):
+    """(T, frames, bands) arrays; in some a share of the values (or all)
+    come from a small pool, so that order statistics tie."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 2500)), draw(st.integers(1, MAX_BANDS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.uniform(-30.0, 10.0, shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    ties = rng.random(shape) < draw(st.sampled_from([0.0, 0.5, 1.0]))
+    pool = np.array(draw(st.lists(floor_values, min_size=1, max_size=6)))
+    x[ties] = rng.choice(pool, np.count_nonzero(ties))
+    return x
+
+
+@settings(deadline=None)
+@given(log_energies())
+def test_noise_floor_is_np_percentile_bit_for_bit(log_energy):
+    assert_floor_is_percentile(log_energy)
+
+
+# Frame counts n with index (n - 1) / 10: 0 at n = 1, an interpolation over
+# two values at n = 2, whole at n = 11, 21 and 801, and fractional parts
+# below 0.5 (n = 3, 15) and at or above it (n = 16, 19, 799, the baseline's
+# 8 s clip).
+@pytest.mark.parametrize("frames", [1, 2, 3, 11, 15, 16, 19, 21, 799, 801])
+def test_noise_floor_at_each_kind_of_index(rng, frames):
+    assert_floor_is_percentile(rng.standard_normal((3, frames, 32)))
+    assert_floor_is_percentile(rng.integers(-2, 3, (3, frames, 32)) * 0.7 + 0.0)
 
 
 class TestFftLength:
