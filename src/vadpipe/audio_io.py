@@ -35,7 +35,8 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # Bytes 2-15 of every KSDATAFORMAT_SUBTYPE GUID that wraps a plain format
 # tag, {tag-0000-0010-8000-00aa00389b71}, as stored in the file.
 _KSDATAFORMAT_SUFFIX = bytes.fromhex("0000 0000 1000 8000 00aa 00389b71")
-# 16-bit scaling: divide by 32768 on read, clamp to [-32768, 32767] on write.
+# 16-bit scaling: times 1/32768 on read (a power of two, so the product is
+# the exact quotient), clamp to [-32768, 32767] on write.
 _PCM16_FULL_SCALE = 32768.0
 # The largest sample magnitude the pipeline takes: far above any gain, and
 # far below where a frame's power overflows (a 1e200 sample squares to inf).
@@ -122,7 +123,7 @@ def read_wav(path: str | Path) -> AudioBuffer:
         raise UnsupportedCodecError(f"{path}: {channels} channels not supported")
     if audio_format == 1 and bits == 16:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 2], dtype="<i2")
-        samples = np.divide(raw, _PCM16_FULL_SCALE, dtype=np.float64)
+        samples = np.multiply(raw, 1.0 / _PCM16_FULL_SCALE, dtype=np.float64)
     elif audio_format == 3 and bits == 32:
         raw = np.frombuffer(payload[: len(payload) - len(payload) % 4], dtype="<f4")
         if not np.all(np.isfinite(raw)):

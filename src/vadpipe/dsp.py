@@ -191,13 +191,17 @@ def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128) -> Stft:
 
 
 def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
-    # Piece r of frame m lands in hop-wide block m + r of the zeroed acc;
-    # taking r from last to first adds every sample's frames in increasing m.
+    # Piece r of frame m lands in hop-wide block m + r of acc (contents
+    # undefined on entry); taking r from last to first adds every sample's
+    # frames in increasing m, so the last piece lands first where it lands.
     num, frame_len = frames.shape[-2:]
-    for r in reversed(range(-(-frame_len // hop))):
-        lo = r * hop
-        width = min(hop, frame_len - lo)
-        acc[..., r:r + num, :width] += frames[..., lo:lo + width]
+    last = -(-frame_len // hop) - 1
+    width = frame_len - last * hop
+    acc[..., :last, :] = 0.0
+    acc[..., last:, width:] = 0.0
+    np.add(frames[..., last * hop:], 0.0, out=acc[..., last:, :width])
+    for r in reversed(range(last)):
+        acc[..., r:r + num, :] += frames[..., r * hop:(r + 1) * hop]
     return acc.reshape(acc.shape[:-2] + (-1,))[..., :(num - 1) * hop + frame_len]
 
 
@@ -208,7 +212,7 @@ def _normaliser(weights: str, frame_len: int, hop: int, num: int):
     den_win = (crossfade_window(frame_len) if weights == "crossfade"
                else analysis_window(frame_len) ** 2)
     blocks = num - 1 + -(-frame_len // hop)
-    den = _shifted_add(np.zeros((blocks, hop)), np.broadcast_to(den_win, (num, frame_len)), hop)
+    den = _shifted_add(np.empty((blocks, hop)), np.broadcast_to(den_win, (num, frame_len)), hop)
     vanishing = den <= _DENOM_FLOOR
     floored = np.maximum(den, _DENOM_FLOOR)
     floored.setflags(write=False)
@@ -225,13 +229,16 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
     by the cross-fade window, or "hann" for istft frames, whose weight is
     the square of the analysis window. The sum runs as ceil(frame_len / hop)
     shifted adds of hop-wide pieces over all frames and rows at once, adding
-    every sample's frames in increasing order, as a frame-by-frame loop
-    does, so each row's result is bit-identical to that row overlap-added
-    alone. The output is cut or zero-padded to out_len samples.
+    every sample's frames in increasing order, as a frame-by-frame loop into
+    zeros does, so each row's result is bit-identical to that row
+    overlap-added alone. The accumulator is not zero-filled first: the
+    piece that lands first, each frame's last piece, is written as
+    piece + 0.0, which has the bits of the loop's 0.0 + piece, signed zeros
+    included (-0.0 becomes +0.0), and only the samples it does not cover are
+    zeroed. The output is cut or zero-padded to out_len samples.
     """
     num, frame_len = weighted.shape[-2:]
     acc = _buffer(key, weighted.shape[:-2] + (num - 1 + -(-frame_len // hop), hop))
-    acc.fill(0.0)
     acc = _shifted_add(acc, weighted, hop)
     den, vanishing = _normaliser(weights, frame_len, hop, num)
     acc /= den

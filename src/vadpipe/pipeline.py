@@ -101,20 +101,27 @@ def _segment_len(segment_ms: float) -> int:
 
 def segment_rows(buf: AudioBuffer, segment_ms: float) -> np.ndarray:
     """Non-overlapping segments of pipeline audio as the rows of a
-    (T, seg_len) array, the last one zero-padded. It checks the rate only,
-    as run_pipeline has checked the samples."""
+    (T, seg_len) array, the last one zero-padded. A clip of whole segments
+    gives a read-only view of its samples; any other gives a fresh array.
+    It checks the rate only, as run_pipeline has checked the samples."""
     require_pipeline_rate(buf)
     if len(buf) == 0:
         raise ValueError("cannot segment an empty buffer")
     seg_len = _segment_len(segment_ms)
-    rows = np.zeros((math.ceil(len(buf) / seg_len), seg_len))
-    rows.reshape(-1)[: len(buf)] = buf.samples
+    if len(buf) % seg_len == 0:
+        rows = buf.samples.reshape(-1, seg_len)
+        rows.flags.writeable = False
+        return rows
+    rows = np.empty((math.ceil(len(buf) / seg_len), seg_len))
+    rows.reshape(-1)[:len(buf)] = buf.samples
+    rows[-1, len(buf) % seg_len:] = 0.0
     return rows
 
 
 def segment(buf: AudioBuffer, segment_ms: float) -> list[AudioBuffer]:
-    """Split into non-overlapping segments, zero-padding the last one."""
-    return [AudioBuffer(row, buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
+    """Split into non-overlapping segments that own their samples,
+    zero-padding the last one."""
+    return [AudioBuffer(row.copy(), buf.sample_rate_hz) for row in segment_rows(buf, segment_ms)]
 
 
 def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, parallel
-from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, write_wav
+from .audio_io import MAX_RATE_HZ, MIN_RATE_HZ, PIPELINE_RATE_HZ, AudioBuffer, write_wav
 
 LABELS = ("clean_speech", "noisy_speech", "non_speech")
 NOISE_KINDS = ("white", "pink", "babble")
@@ -96,7 +96,9 @@ def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
 
 
 def mix_at_snr(clean: AudioBuffer, noise: AudioBuffer, snr_db: float) -> AudioBuffer:
-    return mix_at_snr_with_stems(clean, noise, snr_db).mixed
+    """mix_at_snr_with_stems(...).mixed, the same bits, without building the stems."""
+    (mixed,) = _mix(clean, noise, snr_db, stems=False)
+    return AudioBuffer(mixed, clean.sample_rate_hz)
 
 
 def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
@@ -107,6 +109,16 @@ def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
     (P_noise * 10^(snr/10))). If the mix would clip, clean and noise are
     rescaled jointly, which leaves the SNR untouched.
     """
+    mixed, clean_part, noise_part = _mix(clean, noise, snr_db, stems=True)
+    sr = clean.sample_rate_hz
+    return MixResult(AudioBuffer(mixed, sr), AudioBuffer(clean_part, sr),
+                     AudioBuffer(noise_part, sr), snr_db)
+
+
+def _mix(clean: AudioBuffer, noise: AudioBuffer, snr_db: float,
+         stems: bool) -> list[np.ndarray]:
+    """[mixed, clean_part, noise_part], or just [mixed] without stems, when
+    the mixed samples are summed into the scaled noise's own array."""
     if not math.isfinite(snr_db):
         raise ValueError(f"snr_db must be finite, got {snr_db}")
     if clean.sample_rate_hz != noise.sample_rate_hz:
@@ -120,17 +132,17 @@ def mix_at_snr_with_stems(clean: AudioBuffer, noise: AudioBuffer,
         raise ValueError("cannot mix silent clean or noise material")
 
     gain = math.sqrt(p_clean / (p_noise * 10.0 ** (snr_db / 10.0)))
-    clean_part = clean.samples.copy()
     noise_part = gain * noise_fit
-    mixed = clean_part + noise_part
+    if stems:
+        parts = [clean.samples + noise_part, clean.samples.copy(), noise_part]
+    else:
+        parts = [np.add(clean.samples, noise_part, out=noise_part)]
+    mixed = parts[0]
     peak = float(max(mixed.max(), -mixed.min()))   # max |mixed|, NaN if any is NaN
     if peak > 1.0:
-        clean_part /= peak
-        noise_part /= peak
-        mixed /= peak
-    sr = clean.sample_rate_hz
-    return MixResult(AudioBuffer(mixed, sr), AudioBuffer(clean_part, sr),
-                     AudioBuffer(noise_part, sr), snr_db)
+        for part in parts:
+            part /= peak
+    return parts
 
 
 def measured_snr_db(clean: AudioBuffer, noise: AudioBuffer) -> float:
@@ -418,6 +430,9 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
                          f"got {duration_s:g}")
     if not all(map(math.isfinite, snr_list)):
         raise ValueError(f"SNR levels must be finite, got {', '.join(map(str, snr_list))}")
+    if not MIN_RATE_HZ <= sample_rate_hz <= MAX_RATE_HZ:   # read_wav refuses the rest
+        raise ValueError(f"sample rate must be in [{MIN_RATE_HZ}, {MAX_RATE_HZ}] Hz, "
+                         f"got {sample_rate_hz}")
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -440,13 +455,16 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
         kind = NOISE_KINDS[i % len(NOISE_KINDS)]
         noise = make_noise(kind, rng, duration_s, sample_rate_hz, rms=0.05)
         snr = float(snr_list[(i // len(NOISE_KINDS)) % len(snr_list)])
-        mix = mix_at_snr_with_stems(clean, noise, snr)
         name = f"noisy_{i:04d}.wav"
-        write_wav(mix.mixed, out / name)
         if write_stems:
+            mix = mix_at_snr_with_stems(clean, noise, snr)
             write_wav(mix.clean, stems_dir / f"noisy_{i:04d}.clean.wav")
             write_wav(mix.noise, stems_dir / f"noisy_{i:04d}.noise.wav")
-        entries.append(ManifestEntry(name, "noisy_speech", snr, mix.mixed.duration_s))
+            mixed = mix.mixed
+        else:
+            mixed = mix_at_snr(clean, noise, snr)
+        write_wav(mixed, out / name)
+        entries.append(ManifestEntry(name, "noisy_speech", snr, mixed.duration_s))
 
     for i in range(n_nonspeech):
         rng = np.random.default_rng([seed, 2, i])

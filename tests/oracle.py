@@ -48,34 +48,39 @@ def stft(x: np.ndarray, fft_len: int, hop: int) -> np.ndarray:
     return np.fft.rfft(frames_of(x, fft_len, hop) * hann(fft_len), n=fft_len, axis=1)
 
 
-def istft(spec: np.ndarray, fft_len: int, hop: int, out_len: int) -> np.ndarray:
-    frames = np.fft.irfft(spec, n=fft_len, axis=1)
-    win = hann(fft_len)
-    total = (len(frames) - 1) * hop + fft_len
+def crossfade(length: int) -> np.ndarray:
+    ramp = np.minimum(np.arange(1, length + 1), np.arange(length, 0, -1))
+    return ramp / ramp.max()
+
+
+def weighted_overlap_add(weighted: np.ndarray, den_win: np.ndarray, hop: int,
+                         out_len: int) -> np.ndarray:
+    """Add frames that already carry their synthesis window into zeros, one
+    frame at a time, and divide each sample by its summed weights den_win
+    (0 where that sum vanishes); cut or zero-padded to out_len."""
+    frame_len = weighted.shape[1]
+    total = (len(weighted) - 1) * hop + frame_len
     acc = np.zeros(total)
     den = np.zeros(total)
-    for m in range(len(frames)):
-        acc[m * hop:m * hop + fft_len] += frames[m] * win
-        den[m * hop:m * hop + fft_len] += win * win
+    for m in range(len(weighted)):
+        acc[m * hop:m * hop + frame_len] += weighted[m]
+        den[m * hop:m * hop + frame_len] += den_win
     out = np.where(den > _DENOM_FLOOR, acc / np.maximum(den, _DENOM_FLOOR), 0.0)
     result = np.zeros(out_len)
     result[:min(out_len, total)] = out[:out_len]
     return result
 
 
+def istft(spec: np.ndarray, fft_len: int, hop: int, out_len: int) -> np.ndarray:
+    win = hann(fft_len)
+    return weighted_overlap_add(np.fft.irfft(spec, n=fft_len, axis=1) * win, win * win,
+                                hop, out_len)
+
+
 def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> np.ndarray:
-    frame_len = frames.shape[1]
-    ramp = np.minimum(np.arange(1, frame_len + 1), np.arange(frame_len, 0, -1))
-    win = ramp / ramp.max()
-    total = (len(frames) - 1) * hop + frame_len
-    acc = np.zeros(total)
-    den = np.zeros(total)
-    for m in range(len(frames)):
-        acc[m * hop:m * hop + frame_len] += frames[m] * win
-        den[m * hop:m * hop + frame_len] += win
-    result = np.zeros(out_len)
-    result[:min(out_len, total)] = (acc / np.maximum(den, _DENOM_FLOOR))[:out_len]
-    return result
+    # The cross-fade weights are strictly positive, so no sum vanishes.
+    win = crossfade(frames.shape[1])
+    return weighted_overlap_add(frames * win, win, hop, out_len)
 
 
 def noise_estimate(x: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:

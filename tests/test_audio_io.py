@@ -75,6 +75,13 @@ class TestReadWav:
         got = read_wav(path).samples
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
+    def test_every_pcm16_code_decodes_to_its_quotient(self, tmp_path):
+        # read_wav multiplies by 1/32768, which is exact for a power of two.
+        codes = np.arange(-32768, 32768).astype("<i2")
+        path = tmp_path / "codes.wav"
+        path.write_bytes(build_wav(codes.tobytes()))
+        assert read_wav(path).samples.tobytes() == (codes / 32768).tobytes()
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_float32_non_finite_rejected(self, tmp_path, bad):
         path = tmp_path / "nan.wav"

@@ -158,6 +158,33 @@ class TestOverlapAdd:
             dsp.overlap_add(np.zeros(400), 160, 400)
 
 
+@pytest.mark.parametrize("weights", ["crossfade", "hann"])
+@pytest.mark.parametrize("frame_len,hop", [(400, 160), (512, 128), (7, 3), (8, 3), (5, 5)])
+@pytest.mark.parametrize("num", [1, 2, 9])
+@pytest.mark.parametrize("extra", [-4, 0, 6])
+def test_weighted_overlap_add_is_the_frame_loop_bit_for_bit(rng, weights, frame_len, hop,
+                                                            num, extra):
+    # The accumulator is not zero-filled: the first piece to land is written as
+    # piece + 0.0, so a frame of -0.0 must still come out as the loop's +0.0,
+    # and the samples that piece leaves uncovered must be zeroed, here in a
+    # scratch buffer that starts out dirty.
+    rows = rng.standard_normal((3, num, frame_len))
+    rows[0, ::2] = -0.0
+    rows[1][rng.random((num, frame_len)) < 0.3] = -0.0
+    rows[2] = -0.0
+    den_win = (oracle.crossfade(frame_len) if weights == "crossfade"
+               else oracle.hann(frame_len) ** 2)
+    out_len = (num - 1) * hop + frame_len + extra
+    want = [oracle.weighted_overlap_add(row, den_win, hop, out_len) for row in rows]
+    dsp.scratch("test.wola", (1 << 14,)).fill(np.nan)
+    for key in (None, "test.wola"):
+        got = dsp.weighted_overlap_add(rows, hop, out_len, weights, key)
+        assert got.shape == (3, out_len)
+        assert [row.tobytes() for row in got] == [w.tobytes() for w in want]
+        alone = dsp.weighted_overlap_add(rows[1], hop, out_len, weights, key)
+        assert alone.tobytes() == want[1].tobytes()
+
+
 class TestRfftFrames:
     @pytest.mark.parametrize("frame_len,fft_len", [(400, 512), (512, 512), (640, 1024)])
     @pytest.mark.parametrize("lead", [(), (3,)])

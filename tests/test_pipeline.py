@@ -52,6 +52,27 @@ class TestSegment:
             segment_rows(make_buffer(np.ones(1000)), segment_ms)
         assert segment_rows(make_buffer(np.ones(10)), 0.04).shape == (10, 1)
 
+    def test_whole_segments_are_a_read_only_view_of_the_clip(self, rng):
+        buf = make_buffer(rng.standard_normal(5 * 3200))
+        rows = segment_rows(buf, 200.0)
+        assert rows.shape == (5, 3200) and np.shares_memory(rows, buf.samples)
+        assert not rows.flags.writeable and buf.samples.flags.writeable
+        assert rows.tobytes() == buf.samples.tobytes()
+        segs = segment(buf, 200.0)
+        assert not any(np.shares_memory(s.samples, buf.samples) for s in segs)
+        assert all(s.samples.flags.writeable for s in segs)
+
+    @pytest.mark.parametrize("n", [1, 3199, 3201, 15200])
+    def test_a_partial_segment_gets_a_fresh_array_with_a_zeroed_tail(self, rng, n):
+        samples = rng.standard_normal(n)
+        samples[-1] = -0.0
+        buf = make_buffer(samples)
+        rows = segment_rows(buf, 200.0)
+        assert rows.shape == (-(-n // 3200), 3200) and not np.shares_memory(rows, buf.samples)
+        want = np.zeros(rows.size)
+        want[:n] = samples
+        assert rows.tobytes() == want.tobytes()
+
 
 class TestRunPipeline:
     @pytest.mark.parametrize("mode", ["baseline", "vad1", "vad2"])

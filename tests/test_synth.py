@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from vadpipe import parallel
-from vadpipe.audio_io import AudioBuffer, read_wav
+from vadpipe.audio_io import MAX_RATE_HZ, MIN_RATE_HZ, AudioBuffer, read_wav
 from vadpipe.synth import (LABELS, MIN_DURATION_S, Manifest, ManifestEntry, babble_noise,
                            generate_corpus, make_noise, measured_snr_db,
                            mix_at_snr, mix_at_snr_with_stems, pink_noise,
@@ -62,6 +62,21 @@ class TestMixAtSnr:
         for stem in (mix.mixed, mix.clean, mix.noise):
             assert not np.shares_memory(stem.samples, clean.samples)
             assert not np.shares_memory(stem.samples, noise.samples)
+
+    @pytest.mark.parametrize("noise_len,snr", [(8000, 5.0), (1000, 5.0), (8000, -20.0)])
+    def test_mix_alone_is_the_stems_mix_bit_for_bit(self, rng, noise_len, snr):
+        # -20 dB clips and takes the joint peak rescale; a short noise is looped
+        clean = make_buffer(rng.standard_normal(8000) * 0.1)
+        noise = make_buffer(rng.standard_normal(noise_len) * 0.1)
+        clean_bytes, noise_bytes = clean.samples.tobytes(), noise.samples.tobytes()
+        mixed = mix_at_snr(clean, noise, snr)
+        want = mix_at_snr_with_stems(clean, noise, snr).mixed
+        assert (np.max(np.abs(want.samples)) == 1.0) == (snr < 0)
+        assert mixed.sample_rate_hz == want.sample_rate_hz
+        assert mixed.samples.tobytes() == want.samples.tobytes()
+        assert clean.samples.tobytes() == clean_bytes and noise.samples.tobytes() == noise_bytes
+        assert not np.shares_memory(mixed.samples, clean.samples)
+        assert not np.shares_memory(mixed.samples, noise.samples)
 
     def test_short_noise_is_looped(self, rng):
         clean = make_buffer(rng.standard_normal(8000) * 0.1)
@@ -210,6 +225,20 @@ class TestGenerateCorpus:
         with pytest.raises(ValueError, match="SNR levels must be finite"):
             generate_corpus(tmp_path / "c", (1, 1, 1), snr_list=(5.0, snr), duration_s=1.0)
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("rate", [MIN_RATE_HZ - 1, MAX_RATE_HZ + 1, 4_000, 250_000])
+    def test_rate_read_wav_refuses_is_rejected_before_any_file(self, tmp_path, rate):
+        with pytest.raises(ValueError, match=r"sample rate must be in \[8000, 192000\] Hz"):
+            generate_corpus(tmp_path / "c", (1, 1, 1), duration_s=1.0, sample_rate_hz=rate)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("rate", [MIN_RATE_HZ, MAX_RATE_HZ])
+    def test_clips_at_the_rate_bounds_read_back(self, tmp_path, rate):
+        manifest = generate_corpus(tmp_path / "c", (1, 1, 1), seed=2, duration_s=0.5,
+                                   sample_rate_hz=rate, write_stems=False)
+        for e in manifest.entries:
+            buf = read_wav(manifest.resolve(e))
+            assert buf.sample_rate_hz == rate and len(buf) == rate // 2
 
     def test_shortest_clean_clip_is_never_silent(self):
         # a clean clip's speech starts at 0.25 s or later, so a shorter
