@@ -221,11 +221,9 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
     return AudioBuffer(out, target_hz)
 
 
-def ensure_rate(buf: AudioBuffer, target_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
-    """Return `buf` unchanged if already at `target_hz`, else resample."""
-    if buf.sample_rate_hz == target_hz:
-        return buf
-    return resample(buf, target_hz)
+def ensure_rate(buf: AudioBuffer) -> AudioBuffer:
+    """Return `buf` unchanged if already at PIPELINE_RATE_HZ, else resample to it."""
+    return buf if buf.sample_rate_hz == PIPELINE_RATE_HZ else resample(buf, PIPELINE_RATE_HZ)
 
 
 def require_pipeline_rate(buf: AudioBuffer) -> None:

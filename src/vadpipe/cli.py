@@ -11,6 +11,7 @@ Exit statuses: 0 success, 1 runtime failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -222,7 +223,7 @@ def cmd_report(args, parser) -> int:
     if not modes:
         parser.error("no modes given")
     try:
-        configs = [cfg.with_mode(m) for m in modes]
+        configs = [dataclasses.replace(cfg, mode=m) for m in modes]
         manifest = read_manifest(args.manifest)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))

@@ -4,9 +4,10 @@ Reconstruction paths normalize by the accumulated synthesis-window energy
 per sample, so any analysis/synthesis pair used here gives exact
 pass-through when frames are left untouched.
 
-The `*_rows` primitives work along the last axis with any leading batch
-axes, so a clip's segments go through as one (T, n) array; the functions
-taking an AudioBuffer are the one-signal case of the same code.
+The row primitives (`frame_rows`, `rfft_frames`, `istft_rows`,
+`weighted_overlap_add`) work along the last axis with any leading batch axes,
+so a clip's segments go through as one (T, n) array; `frame_signal`, `stft`,
+`istft` and `overlap_add` are their one-signal entry points.
 
 Large temporaries live in a per-thread scratch store (`scratch`) and are
 reused from call to call. A function that takes `key` writes its result
@@ -25,6 +26,9 @@ import numpy as np
 from .audio_io import PIPELINE_RATE_HZ, AudioBuffer
 
 _DENOM_FLOOR = 1e-12
+# stft's Hann geometry, which spectral subtraction and its noise estimate use.
+FFT_LEN = 512
+FFT_HOP = 128
 # Scratch requests up to this size are kept for reuse; larger ones, such as
 # a long file scored in one piece, are allocated per call and freed.
 SCRATCH_LIMIT_BYTES = 4 << 20
@@ -145,7 +149,7 @@ def analysis_window(length: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def crossfade_window(length: int) -> np.ndarray:
-    """The overlap_add_rows weighting: triangular but strictly positive, so
+    """The overlap_add weighting: triangular but strictly positive, so
     normalized overlap-add is defined at every sample a frame covers;
     built once per length, read-only."""
     ramp = np.minimum(np.arange(1, length + 1), np.arange(length, 0, -1))
@@ -170,24 +174,15 @@ def rfft_frames(frames: np.ndarray, fft_len: int, window: np.ndarray,
     return np.fft.rfft(windowed, axis=-1, out=out)
 
 
-def check_stft_geometry(fft_len: int, hop: int) -> None:
-    """Raise ValueError unless fft_len is a power of two that hop divides."""
+def stft(buf: AudioBuffer, fft_len: int = FFT_LEN, hop: int = FFT_HOP) -> Stft:
+    """Forward STFT over zero-padded frames of the input; fft_len must be a
+    power of two that hop divides."""
     if fft_len <= 0 or fft_len & (fft_len - 1):
         raise ValueError(f"fft_len must be a power of two, got {fft_len}")
-    if fft_len % hop:
-        raise ValueError(f"hop {hop} must divide fft_len {fft_len}")
-
-
-def stft_rows(rows: np.ndarray, fft_len: int = 512, hop: int = 128) -> np.ndarray:
-    """One-sided spectra of every frame of the last axis: (..., frames, bins)."""
-    check_stft_geometry(fft_len, hop)
-    frames = frame_rows(rows, fft_len, hop, key="stft_rows.grid")
-    return rfft_frames(frames, fft_len, analysis_window(fft_len))
-
-
-def stft(buf: AudioBuffer, fft_len: int = 512, hop: int = 128) -> Stft:
-    """Forward STFT over zero-padded frames of the input."""
-    return Stft(stft_rows(buf.samples, fft_len, hop), fft_len, hop)
+    if hop <= 0 or fft_len % hop:
+        raise ValueError(f"hop {hop} must be positive and divide fft_len {fft_len}")
+    frames = frame_rows(buf.samples, fft_len, hop, key="stft.grid")
+    return Stft(rfft_frames(frames, fft_len, analysis_window(fft_len)), fft_len, hop)
 
 
 def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:
@@ -237,6 +232,8 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
     included (-0.0 becomes +0.0), and only the samples it does not cover are
     zeroed. The output is cut or zero-padded to out_len samples.
     """
+    if hop < 1 or out_len < 0:
+        raise ValueError(f"need hop >= 1 and out_len >= 0, got hop={hop}, out_len={out_len}")
     num, frame_len = weighted.shape[-2:]
     acc = _buffer(key, weighted.shape[:-2] + (num - 1 + -(-frame_len // hop), hop))
     acc = _shifted_add(acc, weighted, hop)
@@ -254,36 +251,26 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
 
 def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
                key: str | None = None) -> np.ndarray:
-    """Invert stft_rows: irfft per frame, then normalized overlap-add."""
+    """Invert stft: irfft per frame, then normalized overlap-add."""
     frames = scratch("istft_rows.frames", spectra.shape[:-1] + (fft_len,))
     np.fft.irfft(spectra, n=fft_len, axis=-1, out=frames)
     frames *= analysis_window(fft_len)
     return weighted_overlap_add(frames, hop, out_len, "hann", key)
 
 
-def istft(spec: Stft, out_len: int, sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
+def istft(spec: Stft, out_len: int) -> AudioBuffer:
     """Invert an STFT by weighted overlap-add with per-sample normalization."""
-    return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len), sample_rate_hz)
+    return AudioBuffer(istft_rows(spec.frames, spec.fft_len, spec.hop, out_len),
+                       PIPELINE_RATE_HZ)
 
 
-def overlap_add_rows(frames: np.ndarray, hop: int, out_len: int,
-                     key: str | None = None) -> np.ndarray:
-    """Rebuild signals from (possibly modified) frames (..., num_frames, frame_len).
-
-    Frames are weighted by a strictly positive triangular window and the sum
-    is normalized by the accumulated weights of the full grid, which makes
-    unmodified frames reconstruct the input exactly and zeroed frames
-    cross-fade against their neighbors.
-    """
-    weighted = scratch("overlap_add_rows.weighted", frames.shape)
-    np.multiply(frames, crossfade_window(frames.shape[-1]), out=weighted)
-    return weighted_overlap_add(weighted, hop, out_len, "crossfade", key)
-
-
-def overlap_add(frames: np.ndarray, hop: int, out_len: int,
-                sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
-    """overlap_add_rows for one signal's (num_frames, frame_len) frames."""
+def overlap_add(frames: np.ndarray, hop: int, out_len: int) -> AudioBuffer:
+    """Rebuild a signal from (possibly modified) frames (num_frames, frame_len),
+    weighted by crossfade_window and normalized by the summed weights of the
+    grid: unmodified frames give the input back, zeroed ones cross-fade."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 2:
         raise ValueError("frames must be a 2-D array")
-    return AudioBuffer(overlap_add_rows(frames, hop, out_len), sample_rate_hz)
+    weighted = frames * crossfade_window(frames.shape[-1])
+    return AudioBuffer(weighted_overlap_add(weighted, hop, out_len, "crossfade"),
+                       PIPELINE_RATE_HZ)

@@ -15,7 +15,7 @@ baseline's clip is the one-row case, a (1, n) array; a row of at least
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,9 +76,6 @@ class PipelineConfig:
     @property
     def vote_enabled(self) -> bool:
         return self.mode != "baseline"
-
-    def with_mode(self, mode: str) -> "PipelineConfig":
-        return replace(self, mode=mode)
 
     # Unused here but kept: perfbench/workloads.py calls it.
     def make_scorer(self) -> ReferenceScorer:

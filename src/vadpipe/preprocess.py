@@ -2,9 +2,9 @@
 
 Each stage is value-in/value-out, preserves buffer length, and maps silence
 to silence, so stages compose in any order. Every stage runs row by row over
-a (T, n) array of segments (`preprocess_rows`); the AudioBuffer functions
-are its T = 1 case. Inside the chain each stage writes its output to the
-thread's scratch store (`dsp.scratch`); the public functions return copies.
+a (T, n) array of segments; the AudioBuffer functions are its T = 1 case.
+Inside the chain (`preprocess_rows_scratch`) each stage writes its output to
+the thread's scratch store (`dsp.scratch`); the public functions return copies.
 """
 
 from __future__ import annotations
@@ -16,12 +16,10 @@ import numpy as np
 
 from .audio_io import AudioBuffer, require_pipeline_audio, require_pipeline_rate
 from . import dsp
+from .dsp import FFT_HOP, FFT_LEN
 
 SILENCE_RMS_FLOOR = 1e-8
-# The fixed geometry in samples at the pipeline rate: a Hann STFT for spectral
-# subtraction and its noise estimate, and the energy gate's 25 ms / 10 ms frames.
-FFT_LEN = 512
-FFT_HOP = 128
+# The energy gate's 25 ms / 10 ms frames in samples at the pipeline rate.
 GATE_FRAME_LEN = 400
 GATE_HOP = 160
 
@@ -157,7 +155,7 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
 
 
 def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
-    # dsp.overlap_add_rows with the gate folded in: a gated frame's weighted
+    # dsp.overlap_add with the gate folded in: a gated frame's weighted
     # samples are 0.0, which is what weighting its zeroed samples gives.
     frames = dsp.frame_rows(rows, GATE_FRAME_LEN, GATE_HOP, key="energy_gate.grid")
     weighted = dsp.scratch("energy_gate.frames", frames.shape)
@@ -210,20 +208,16 @@ def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
     run_pipeline has checked the samples."""
     require_pipeline_rate(buf)
     lead_in = (cfg.noise_frames - 1) * FFT_HOP + FFT_LEN
-    spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz), FFT_LEN, FFT_HOP)
+    spec = dsp.stft(AudioBuffer(buf.samples[:lead_in], buf.sample_rate_hz))
     return estimate_noise(spec, min(cfg.noise_frames, spec.num_frames))
-
-
-def preprocess_rows(rows: np.ndarray, cfg: PreprocessConfig, noise: NoiseProfile) -> np.ndarray:
-    """Run the configured stages in order over every row of a (T, n) array;
-    `noise` feeds the spectral-subtraction stage of every row."""
-    return np.array(preprocess_rows_scratch(rows, cfg, noise))
 
 
 def preprocess_rows_scratch(rows: np.ndarray, cfg: PreprocessConfig,
                             noise: NoiseProfile) -> np.ndarray:
-    """preprocess_rows, leaving the result in this thread's scratch store:
-    it is valid until the thread's next pre-processing call."""
+    """Run the configured stages in order over every row of a (T, n) array;
+    `noise` feeds the spectral-subtraction stage of every row. The result is
+    left in this thread's scratch store: it is valid until the thread's next
+    pre-processing call."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")
@@ -239,11 +233,12 @@ def preprocess_rows_scratch(rows: np.ndarray, cfg: PreprocessConfig,
 
 def preprocess_segment(seg: AudioBuffer, cfg: PreprocessConfig,
                        noise: NoiseProfile | None = None) -> AudioBuffer:
-    """Run the configured stages in order over one segment (see preprocess_rows),
-    with the segment's own clip_noise_profile when given no profile."""
+    """preprocess_rows_scratch over one segment, with the segment's own
+    clip_noise_profile when given no profile."""
     require_pipeline_audio(seg)
     if len(seg) == 0:
         raise ValueError("cannot preprocess an empty segment")
     if noise is None:
         noise = clip_noise_profile(seg, cfg)
-    return AudioBuffer(preprocess_rows(seg.samples[None], cfg, noise)[0], seg.sample_rate_hz)
+    return AudioBuffer(preprocess_rows_scratch(seg.samples[None], cfg, noise)[0].copy(),
+                       seg.sample_rate_hz)

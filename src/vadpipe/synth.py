@@ -22,6 +22,7 @@ run only inside the bursts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,13 @@ NOISE_KINDS = ("white", "pink", "babble")
 DEFAULT_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 DEFAULT_DURATION_S = 8.0
 BABBLE_VOICES = 8
+# The noise level generate_corpus mixes into noisy speech; the generators' default.
+NOISE_RMS = 0.05
+# The largest SNR magnitude a mix takes. The power ratio 10^(snr/10) overflows
+# above ~3,082 dB and leaves the normal floats below ~-3,076 dB; at 300 dB it is
+# 1e30 or 1e-30, far inside the range where the ratio and p_noise * ratio stay
+# normal floats.
+MAX_ABS_SNR_DB = 300.0
 
 _SILENT_POWER = 1e-16
 # generate_corpus's clip seconds. Clean speech starts at 0.25-0.3 s, maybe in a
@@ -119,8 +127,9 @@ def _mix(clean: AudioBuffer, noise: AudioBuffer, snr_db: float,
          stems: bool) -> list[np.ndarray]:
     """[mixed, clean_part, noise_part], or just [mixed] without stems, when
     the mixed samples are summed into the scaled noise's own array."""
-    if not math.isfinite(snr_db):
-        raise ValueError(f"snr_db must be finite, got {snr_db}")
+    if not abs(snr_db) <= MAX_ABS_SNR_DB:   # NaN fails too
+        raise ValueError(f"snr_db must be finite and at most {MAX_ABS_SNR_DB:g} dB "
+                         f"in magnitude, got {snr_db}")
     if clean.sample_rate_hz != noise.sample_rate_hz:
         raise ValueError("clean and noise must share a sample rate")
     if not (len(clean) and len(noise)):
@@ -211,7 +220,7 @@ def _sines(t: np.ndarray, rates, phases, key: str) -> np.ndarray:
     return np.sin(s, out=s)
 
 
-def speech_surrogate(rng: np.random.Generator, duration_s: float = 3.0,
+def speech_surrogate(rng: np.random.Generator, duration_s: float,
                      sample_rate_hz: int = PIPELINE_RATE_HZ) -> AudioBuffer:
     """Harmonic stack with 4 Hz amplitude modulation and silence gaps.
 
@@ -342,15 +351,15 @@ def _at_rms(x: np.ndarray, rms: float, sample_rate_hz: int) -> AudioBuffer:
     return AudioBuffer(np.clip(x, -1.0, 1.0, out=x), sample_rate_hz)
 
 
-def white_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
+def white_noise(rng: np.random.Generator, duration_s: float,
+                sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = NOISE_RMS) -> AudioBuffer:
     n = _sample_count(duration_s, sample_rate_hz)
     x = _unsteady_envelope(rng, rng.standard_normal(n), sample_rate_hz)
     return _at_rms(x, rms, sample_rate_hz)
 
 
-def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
-               sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
+def pink_noise(rng: np.random.Generator, duration_s: float,
+               sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = NOISE_RMS) -> AudioBuffer:
     n = _sample_count(duration_s, sample_rate_hz, minimum=2)   # freqs[1] must exist
     spectrum = np.fft.rfft(rng.standard_normal(n))
     freqs = np.fft.rfftfreq(n, 1.0 / sample_rate_hz)
@@ -360,8 +369,8 @@ def pink_noise(rng: np.random.Generator, duration_s: float = 3.0,
     return _at_rms(x, rms, sample_rate_hz)
 
 
-def babble_noise(rng: np.random.Generator, duration_s: float = 3.0,
-                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = 0.05) -> AudioBuffer:
+def babble_noise(rng: np.random.Generator, duration_s: float,
+                 sample_rate_hz: int = PIPELINE_RATE_HZ, rms: float = NOISE_RMS) -> AudioBuffer:
     """Sum of detuned continuous harmonic voices: speech-like spectrum,
     but no single voice dominates and the aggregate envelope stays steady."""
     n = _sample_count(duration_s, sample_rate_hz)
@@ -428,8 +437,11 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
     if not MIN_DURATION_S <= duration_s <= MAX_DURATION_S:   # NaN fails too
         raise ValueError(f"duration must be in [{MIN_DURATION_S:g}, {MAX_DURATION_S:g}] s, "
                          f"got {duration_s:g}")
-    if not all(map(math.isfinite, snr_list)):
-        raise ValueError(f"SNR levels must be finite, got {', '.join(map(str, snr_list))}")
+    if not all(abs(snr) <= MAX_ABS_SNR_DB for snr in snr_list):   # NaN fails too
+        raise ValueError(f"SNR levels must be finite and at most {MAX_ABS_SNR_DB:g} dB in "
+                         f"magnitude, got {', '.join(map(str, snr_list))}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if not MIN_RATE_HZ <= sample_rate_hz <= MAX_RATE_HZ:   # read_wav refuses the rest
         raise ValueError(f"sample rate must be in [{MIN_RATE_HZ}, {MAX_RATE_HZ}] Hz, "
                          f"got {sample_rate_hz}")
@@ -453,7 +465,7 @@ def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
         clean = speech_surrogate(rng, duration_s, sample_rate_hz)
         # stride the kinds so noise type and SNR level decorrelate
         kind = NOISE_KINDS[i % len(NOISE_KINDS)]
-        noise = make_noise(kind, rng, duration_s, sample_rate_hz, rms=0.05)
+        noise = make_noise(kind, rng, duration_s, sample_rate_hz, rms=NOISE_RMS)
         snr = float(snr_list[(i // len(NOISE_KINDS)) % len(snr_list)])
         name = f"noisy_{i:04d}.wav"
         if write_stems:

@@ -17,7 +17,8 @@ from vadpipe.audio_io import AudioBuffer
 from vadpipe.pipeline import PipelineConfig, run_pipeline, segment, segment_rows
 from vadpipe.postprocess import final_decision, vote_with_fallback
 from vadpipe.preprocess import (STAGE_NAMES, NoiseProfile, PreprocessConfig,
-                                clip_noise_profile, preprocess_rows, preprocess_segment)
+                                clip_noise_profile, preprocess_rows_scratch,
+                                preprocess_segment)
 from vadpipe.scorer import ReferenceScorer
 from vadpipe.synth import mix_at_snr, speech_surrogate, white_noise
 
@@ -99,7 +100,7 @@ def test_all_silent_rows_pass_the_rms_floor():
     buf = make_buffer(samples)
     rows = segment_rows(buf, 200.0)
     cfg = PreprocessConfig()
-    out = preprocess_rows(rows, cfg, clip_noise_profile(buf, cfg))
+    out = preprocess_rows_scratch(rows, cfg, clip_noise_profile(buf, cfg))
     assert np.all(out[3:5] == 0.0)
     assert np.sqrt(np.mean(out[6] ** 2)) == pytest.approx(cfg.target_rms)
     assert_matches_oracle(buf, vad2())
@@ -127,7 +128,9 @@ def test_rows_estimate_their_own_noise(stages):
     cfg = PreprocessConfig(stages=stages)
     buf = noisy_clip(1.1, seed=8)
     for row in segment_rows(buf, 200.0):
-        got = preprocess_rows(row[None], cfg, clip_noise_profile(make_buffer(row), cfg))[0]
+        # copied: preprocess_segment below reuses the scratch store
+        got = preprocess_rows_scratch(row[None], cfg,
+                                      clip_noise_profile(make_buffer(row), cfg))[0].copy()
         assert np.array_equal(got, preprocess_segment(make_buffer(row), cfg).samples)
         want = oracle.preprocess(row, cfg, oracle.noise_estimate(row, cfg))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -153,5 +156,5 @@ def test_row_block_size_does_not_change_results(monkeypatch, block):
 
 def test_preprocess_rows_rejects_non_2d():
     with pytest.raises(ValueError):
-        preprocess.preprocess_rows(np.zeros(3200), PreprocessConfig(),
-                                   NoiseProfile(np.zeros(257)))
+        preprocess.preprocess_rows_scratch(np.zeros(3200), PreprocessConfig(),
+                                           NoiseProfile(np.zeros(257)))

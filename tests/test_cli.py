@@ -82,6 +82,29 @@ class TestSynthCommand:
         assert "SNR levels must be finite" in captured.err
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("value", ["4000", "-4000", "300.5", "5,-300.5"])
+    def test_snr_beyond_the_bound_is_usage_error_before_any_file(self, tmp_path, capsys,
+                                                                 value):
+        out = tmp_path / "c"
+        assert main(["synth", "--clips", "3", f"--snr={value}", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "SNR levels must be finite and at most 300 dB" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    def test_negative_seed_is_usage_error_before_any_file(self, tmp_path, capsys):
+        out = tmp_path / "c"
+        assert main(["synth", "--clips", "3", "--seed", "-1", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be a non-negative integer, got -1" in captured.err
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--snr=4000", "--snr=-4000", "--seed=-1"])
+    def test_extreme_snr_or_seed_exits_without_traceback(self, tmp_path, flag):
+        out = tmp_path / "c"
+        proc = run_cli("synth", "--clips", "3", flag, "--out", str(out))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and not out.exists()
+
     def test_zero_duration_exits_without_traceback_or_warning(self, tmp_path):
         proc = run_cli("synth", "--clips", "1", "--duration", "0", "--out", str(tmp_path / "c"))
         assert proc.returncode == 2

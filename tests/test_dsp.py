@@ -100,12 +100,14 @@ class TestStftIstft:
         assert err.max() <= 1e-9
 
     def test_rejects_non_power_of_two(self):
-        with pytest.raises(ValueError):
-            dsp.stft(make_buffer(np.zeros(1000)), fft_len=500, hop=125)
+        for fft_len in (0, 500, 513):
+            with pytest.raises(ValueError, match=f"power of two, got {fft_len}"):
+                dsp.stft(make_buffer(np.zeros(1000)), fft_len=fft_len, hop=1)
 
     def test_rejects_non_dividing_hop(self):
-        with pytest.raises(ValueError):
-            dsp.stft(make_buffer(np.zeros(1000)), fft_len=512, hop=100)
+        for hop in (100, 0, -128):
+            with pytest.raises(ValueError, match=f"hop {hop} must be positive and divide"):
+                dsp.stft(make_buffer(np.zeros(1000)), fft_len=512, hop=hop)
 
     def test_istft_pads_or_trims_to_out_len(self, rng):
         buf = make_buffer(rng.standard_normal(3000) * 0.1)
@@ -144,8 +146,12 @@ class TestOverlapAdd:
         want = oracle.overlap_add(frames, hop, 8 * hop + frame_len + 5)
         got = dsp.overlap_add(frames, hop, 8 * hop + frame_len + 5).samples
         assert np.array_equal(got, want)
-        batch = dsp.overlap_add_rows(np.stack([frames, 2.0 * frames]), hop, len(want))
-        assert np.array_equal(batch[0], want)
+        # the batched primitive over crossfade-weighted rows, as overlap_add calls it
+        rows = np.stack([frames, 2.0 * frames])
+        batch = dsp.weighted_overlap_add(rows * dsp.crossfade_window(frame_len), hop,
+                                         len(want), "crossfade")
+        assert [row.tobytes() for row in batch] == [
+            oracle.overlap_add(row, hop, len(want)).tobytes() for row in rows]
 
     def test_istft_bit_identical_to_frame_loop(self, rng):
         spectra = rng.standard_normal((12, 257)) + 1j * rng.standard_normal((12, 257))
@@ -156,6 +162,16 @@ class TestOverlapAdd:
     def test_rejects_1d_input(self):
         with pytest.raises(ValueError):
             dsp.overlap_add(np.zeros(400), 160, 400)
+
+    @pytest.mark.parametrize("hop,out_len", [(0, 400), (-2, 400), (160, -1)])
+    def test_rejects_bad_hop_or_length(self, hop, out_len):
+        # hop 0 used to divide by zero, and out_len -1 to cut one sample off the end
+        with pytest.raises(ValueError, match="need hop >= 1 and out_len >= 0"):
+            dsp.overlap_add(np.ones((3, 400)), hop, out_len)
+
+    def test_istft_rejects_negative_length(self):
+        with pytest.raises(ValueError, match="need hop >= 1 and out_len >= 0"):
+            dsp.istft(dsp.stft(make_buffer(np.ones(1000))), -5)
 
 
 @pytest.mark.parametrize("weights", ["crossfade", "hann"])

@@ -337,23 +337,23 @@ def _public_results(x: np.ndarray, rows: np.ndarray) -> dict:
     buf = AudioBuffer(x, SR)
     cfg = PreprocessConfig()
     noise = clip_noise_profile(buf, cfg)
-    spec = dsp.stft_rows(rows, 512, 128)
+    spec = dsp.rfft_frames(dsp.frame_rows(rows, 512, 128), 512, dsp.analysis_window(512))
     sc = scorer.ReferenceScorer()
     return {
         "frame_rows": dsp.frame_rows(rows, 400, 160),
         "frame_signal": dsp.frame_signal(buf, 400, 400).frames,
-        "stft_rows": spec,
+        "rfft_frames": spec,
         "stft": dsp.stft(buf).frames,
         "istft_rows": dsp.istft_rows(spec, 512, 128, rows.shape[1]),
         "istft": dsp.istft(dsp.stft(buf), len(x)).samples,
-        "overlap_add_rows": dsp.overlap_add_rows(dsp.frame_rows(rows, 400, 160), 160,
-                                                 rows.shape[1]),
+        "weighted_overlap_add": dsp.weighted_overlap_add(
+            dsp.frame_rows(rows, 400, 160) * dsp.crossfade_window(400), 160, rows.shape[1],
+            "crossfade"),
         "overlap_add": dsp.overlap_add(dsp.frame_signal(buf, 400, 160).frames, 160,
                                        len(x)).samples,
         "spectral_subtract": preprocess.spectral_subtract(buf, cfg, noise).samples,
         "energy_gate": preprocess.energy_gate(buf, cfg).samples,
         "rms_normalize": preprocess.rms_normalize(buf, 0.1).samples,
-        "preprocess_rows": preprocess.preprocess_rows(rows, cfg, noise),
         "preprocess_segment": preprocess.preprocess_segment(buf, cfg, noise).samples,
         "score": sc.score(buf).scores,
         "score_rows": sc.score_rows(rows),

@@ -373,8 +373,3 @@ class TestPipelineConfig:
         assert PipelineConfig(mode="vad1").vote_enabled
         assert PipelineConfig(mode="vad2").preprocess_enabled
         assert PipelineConfig(mode="vad2").vote_enabled
-
-    def test_with_mode(self):
-        cfg = PipelineConfig(mode="baseline", thresh=12.0)
-        assert cfg.with_mode("vad2").mode == "vad2"
-        assert cfg.with_mode("vad2").thresh == 12.0

@@ -7,7 +7,8 @@ import pytest
 
 from vadpipe import parallel
 from vadpipe.audio_io import MAX_RATE_HZ, MIN_RATE_HZ, AudioBuffer, read_wav
-from vadpipe.synth import (LABELS, MIN_DURATION_S, Manifest, ManifestEntry, babble_noise,
+from vadpipe.synth import (LABELS, MAX_ABS_SNR_DB, MIN_DURATION_S, Manifest, ManifestEntry,
+                           babble_noise,
                            generate_corpus, make_noise, measured_snr_db,
                            mix_at_snr, mix_at_snr_with_stems, pink_noise,
                            read_manifest, speech_surrogate, white_noise,
@@ -105,6 +106,26 @@ class TestMixAtSnr:
         a, b = equal_power_pair(rng)
         with pytest.raises(ValueError):
             mix_at_snr(a, b, math.inf)
+
+    @pytest.mark.parametrize("snr", [MAX_ABS_SNR_DB, -MAX_ABS_SNR_DB])
+    def test_snr_at_the_bound_mixes(self, rng, snr):
+        # -300 dB scales the noise by ~1e15, so the joint peak rescale runs
+        clean = make_buffer(rng.standard_normal(8000) * 0.2)
+        noise = make_buffer(rng.standard_normal(8000) * 0.07)
+        mix = mix_at_snr_with_stems(clean, noise, snr)
+        assert np.isfinite(mix.mixed.samples).all()
+        assert np.max(np.abs(mix.mixed.samples)) <= 1.0
+        assert measured_snr_db(mix.clean, mix.noise) == pytest.approx(snr, abs=0.01)
+        assert mix_at_snr(clean, noise, snr).samples.tobytes() == mix.mixed.samples.tobytes()
+
+    @pytest.mark.parametrize("snr", [MAX_ABS_SNR_DB + 0.5, -MAX_ABS_SNR_DB - 0.5, 4000.0,
+                                     -4000.0])
+    def test_snr_beyond_the_bound_rejected(self, rng, snr):
+        # 4000 dB used to overflow in 10 ** (snr / 10), -4000 dB to divide by zero
+        a, b = equal_power_pair(rng)
+        for mix in (mix_at_snr, mix_at_snr_with_stems):
+            with pytest.raises(ValueError, match="at most 300 dB in magnitude"):
+                mix(a, b, snr)
 
     def test_measured_snr_needs_live_material(self, rng):
         live = make_buffer(rng.standard_normal(1000) * 0.1)
@@ -224,6 +245,18 @@ class TestGenerateCorpus:
     def test_non_finite_snr_rejected_before_any_file(self, tmp_path, snr):
         with pytest.raises(ValueError, match="SNR levels must be finite"):
             generate_corpus(tmp_path / "c", (1, 1, 1), snr_list=(5.0, snr), duration_s=1.0)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("snr", [300.5, -300.5, 4000.0])
+    def test_snr_beyond_the_bound_rejected_before_any_file(self, tmp_path, snr):
+        with pytest.raises(ValueError, match="SNR levels must be finite and at most 300 dB"):
+            generate_corpus(tmp_path / "c", (1, 1, 1), snr_list=(5.0, snr), duration_s=1.0)
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7", None])
+    def test_bad_seed_rejected_before_any_file(self, tmp_path, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            generate_corpus(tmp_path / "c", (1, 1, 1), seed=seed, duration_s=1.0)
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize("rate", [MIN_RATE_HZ - 1, MAX_RATE_HZ + 1, 4_000, 250_000])
