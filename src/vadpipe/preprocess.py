@@ -1,7 +1,10 @@
 """Noise-removal chain: spectral subtraction, energy gating, RMS normalization.
 
-Each stage is value-in/value-out, preserves buffer length, and maps silence
-to silence, so stages compose in any order. Every stage runs row by row over
+Each stage is value-in/value-out and preserves buffer length, so stages
+compose in any order. The energy gate and RMS normalization map a row of
+zeros to zeros; spectral subtraction does so only when beta * |N| is zero in
+every bin, as with a silent lead-in's profile or beta = 0, and otherwise
+lifts silence to the floor beta * |N|. Every stage runs row by row over
 a (T, n) array of segments; the AudioBuffer functions are its T = 1 case.
 Inside the chain (`preprocess_rows_scratch`) each stage writes its output to
 the thread's scratch store (`dsp.scratch`); the public functions return copies.

@@ -51,6 +51,15 @@ def outcome(result) -> tuple:
     return result.segment_values, d.per_segment, d.per_window, d.final
 
 
+def clean(seconds: float, seed: int = 2) -> AudioBuffer:
+    """A clean speech clip: mostly digital silence, with a silent lead-in."""
+    return speech_surrogate(np.random.default_rng(seed), seconds)
+
+
+def negative_zeros(buf: AudioBuffer) -> AudioBuffer:
+    return AudioBuffer(np.where(buf.samples == 0.0, -0.0, buf.samples), buf.sample_rate_hz)
+
+
 CLIPS = {
     "fewer_rows_than_threads": lambda: noisy(3 * 3200 - 17),
     "one_row": lambda: noisy(3200),
@@ -60,6 +69,10 @@ CLIPS = {
     "uneven_baseline_frames": lambda: noisy(80720),
     "many_rows": lambda: noisy(int(4.13 * SR)),
     "48_khz": lambda: ensure_rate(noisy(int(1.7 * 48000), rate=48000)),
+    # 34 of 40 200 ms rows and 2 of 4 2.5 s rows are all zeros, in blocks
+    # that mix silent and live rows
+    "digital_silence": lambda: clean(8.0),
+    "digital_silence_negative_zeros": lambda: negative_zeros(clean(8.0)),
 }
 
 

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from vadpipe.aggregate import aggregate_score, decide_segment
+from vadpipe.aggregate import aggregate_score, decide_segment, segment_values
 from vadpipe.audio_io import MAX_SAMPLE_MAGNITUDE, AudioBuffer, ensure_rate
 from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
-                                preprocess_segment, rms_normalize, spectral_subtract)
+                                preprocess_rows_scratch, preprocess_segment, rms_normalize,
+                                spectral_subtract)
 from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
                               run_pipeline_on_scores, segment, segment_rows)
 from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
@@ -127,6 +128,70 @@ class TestRunPipeline:
         mid = (base_stat + vad1_stat) / 2
         assert run_pipeline(clip, PipelineConfig(mode="baseline", thresh=mid)).decision.final == 0
         assert run_pipeline(clip, PipelineConfig(mode="vad1", thresh=mid)).decision.final == 1
+
+
+PLUS_ZERO = float.hex(0.0)
+# Rows of the clip below that hold digital silence, some of it -0.0. The 24
+# rows span more than one pipeline.ROW_BLOCK, and every block mixes silent
+# and live rows on 1, 2, 3 or 5 threads.
+SILENT_ROWS = (1, 2, 5, 6, 7, 12, 19, 20, 23)
+
+
+def clip_with_silent_rows(silent_lead_in: bool) -> AudioBuffer:
+    rng = np.random.default_rng(3)
+    clip = mix_at_snr(speech_surrogate(rng, 4.8), white_noise(rng, 4.8), 5.0)
+    rows = clip.samples.reshape(24, -1).copy()
+    rows[list(SILENT_ROWS)] = 0.0
+    rows[[2, 6, 20]] = -0.0
+    if silent_lead_in:
+        rows[0] = 0.0
+    return make_buffer(rows.reshape(-1))
+
+
+def values_row_by_row(buf: AudioBuffer, cfg: PipelineConfig) -> list[str]:
+    """Each segment's value with every row run through the whole chain on
+    its own, silent or not."""
+    noise = clip_noise_profile(buf, cfg.preprocess)
+    values = []
+    for row in segment_rows(buf, cfg.segment_ms):
+        rows = row[None]
+        if cfg.preprocess_enabled:
+            rows = preprocess_rows_scratch(rows, cfg.preprocess, noise)
+        values.append(float.hex(float(segment_values(cfg.scoring.score_rows(rows))[0])))
+    return values
+
+
+class TestSilentRows:
+    @pytest.mark.parametrize("mode", ["baseline", "vad1", "vad2"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_silent_clip_scores_plus_zero(self, mode, zero):
+        result = run_pipeline(make_buffer(np.full(16000, zero)), PipelineConfig(mode=mode))
+        assert [float.hex(v) for v in result.segment_values] == \
+            [PLUS_ZERO] * (1 if mode == "baseline" else 5)
+
+    @pytest.mark.parametrize("mode, silent_lead_in, pre, silence_scores", [
+        ("vad1", True, PreprocessConfig(), False),
+        ("vad1", False, PreprocessConfig(), False),
+        ("vad2", True, PreprocessConfig(), False),        # |N| = 0
+        ("vad2", False, PreprocessConfig(beta=0.0), False),
+        ("vad2", False, PreprocessConfig(stages=("energy_gate", "rms_normalize")), False),
+        ("vad2", False, PreprocessConfig(), True),        # beta * |N| != 0
+        ("vad2", False, PreprocessConfig(stages=("rms_normalize", "spectral_subtract")), True),
+    ])
+    def test_each_row_gets_the_bits_it_gets_alone(self, mode, silent_lead_in, pre,
+                                                  silence_scores):
+        # A silent row skips the chain only where the chain maps it to
+        # +0.0; every live row of a block that holds silent ones keeps the
+        # bits it gets when scored alone.
+        buf = clip_with_silent_rows(silent_lead_in)
+        cfg = PipelineConfig(mode=mode, preprocess=pre)
+        got = [float.hex(v) for v in run_pipeline(buf, cfg).segment_values]
+        assert got == values_row_by_row(buf, cfg)
+        rows = segment_rows(buf, cfg.segment_ms)
+        silent = [v for v, row in zip(got, rows) if not row.any()]
+        assert len(silent) >= len(SILENT_ROWS)
+        assert all((v == PLUS_ZERO) != silence_scores for v in silent)
+        assert PLUS_ZERO not in [v for v, row in zip(got, rows) if row.any()]
 
 
 # The pipeline's entry points take only 16 kHz audio with finite samples

@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from vadpipe import dsp
-from vadpipe.preprocess import (FFT_HOP, FFT_LEN, NoiseProfile, PreprocessConfig,
+from vadpipe.preprocess import (FFT_HOP, FFT_LEN, STAGE_NAMES, NoiseProfile, PreprocessConfig,
                                 clip_noise_profile, energy_gate, estimate_noise,
                                 preprocess_rows_scratch, preprocess_segment, rms_normalize,
                                 spectral_subtract, subtract_magnitude)
@@ -306,6 +308,28 @@ class TestPreprocessSegment:
     def test_silence_in_silence_out(self):
         out = preprocess_segment(make_buffer(np.zeros(3200)), PreprocessConfig())
         assert np.all(out.samples == 0.0)
+
+    @pytest.mark.parametrize("stages", list(itertools.permutations(STAGE_NAMES)) + [
+        ("energy_gate", "rms_normalize"), ("rms_normalize",), ()])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_silence_stays_silent_exactly_when_the_floor_is_zero(self, stages, zero):
+        # run_pipeline gives a row of zeros the value +0.0 unscored only
+        # under this condition: beta * |N| == 0 in every bin, or no subtraction
+        silence = make_buffer(np.full(3200, zero))
+        for beta in (0.0, 0.3):
+            for mags in (np.zeros(257), np.linspace(0.001, 0.05, 257)):
+                cfg = PreprocessConfig(beta=beta, stages=stages)
+                out = preprocess_segment(silence, cfg, NoiseProfile(mags))
+                silent = "spectral_subtract" not in stages or not np.any(beta * mags)
+                assert out.samples.any() != silent, (beta, mags[0])
+
+    def test_a_nonzero_floor_lifts_silence(self):
+        silence = make_buffer(np.zeros(3200))
+        noise = NoiseProfile(np.linspace(0.001, 0.05, 257))
+        floor = np.abs(spectral_subtract(silence, PreprocessConfig(), noise).samples).max()
+        assert 0.0 < floor < 1e-5
+        out = preprocess_segment(silence, PreprocessConfig(), noise)
+        assert np.sqrt(np.mean(out.samples ** 2)) == pytest.approx(0.1)
 
     def test_length_preserved_through_chain(self, rng):
         buf = make_buffer(rng.standard_normal(3200) * 0.1)

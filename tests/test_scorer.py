@@ -147,6 +147,20 @@ def test_noise_floor_at_each_kind_of_index(rng, frames):
     assert_floor_is_percentile(rng.integers(-2, 3, (3, frames, 32)) * 0.7 + 0.0)
 
 
+def test_stacked_mel_projection_is_row_by_row_bit_for_bit(rng):
+    # numpy's stacked matmul runs one gemm per row, so a segment's log-mel
+    # energies do not depend on which other rows share its block. Both the
+    # split of a clip's rows across threads and run_pipeline's compacted
+    # block of non-silent rows rest on this; it holds for the BLAS build
+    # numpy is linked against, not by construction (see ROADMAP).
+    filterbank = ReferenceScorer().filterbank()
+    for t in range(1, 41):
+        power = rng.random((t, 19, filterbank.shape[1])) ** 4
+        stacked = power @ filterbank.T
+        for row in range(t):
+            assert stacked[row].tobytes() == (power[row:row + 1] @ filterbank.T)[0].tobytes()
+
+
 class TestFftLength:
     @pytest.mark.parametrize("frame_ms", [25.0, 32.0])
     def test_frames_that_fit_512_points_are_scored_as_before(self, rng, frame_ms):
