@@ -133,6 +133,19 @@ def frame_view(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
         (*padded.strides[:-1], hop * step, step), writeable=False)
 
 
+def silent_frames(frames: np.ndarray) -> np.ndarray | None:
+    """Which frames of (..., num_frames, frame_len) hold only +0.0 or -0.0
+    samples, as a (..., num_frames) mask, or None when none does. Only the
+    frames whose first and last samples are both zero are scanned, so
+    frames of sounding audio cost a two-sample test."""
+    silent = (frames[..., 0] == 0.0) & (frames[..., -1] == 0.0)
+    if silent.any():
+        silent[silent] = ~frames[silent].any(axis=-1)
+        if silent.any():
+            return silent
+    return None
+
+
 def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
     """Slice a buffer into overlapping frames, zero-padding the tail."""
     return FrameGrid(np.ascontiguousarray(frame_rows(buf.samples, frame_len, hop)), hop)
@@ -230,7 +243,10 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
     piece that lands first, each frame's last piece, is written as
     piece + 0.0, which has the bits of the loop's 0.0 + piece, signed zeros
     included (-0.0 becomes +0.0), and only the samples it does not cover are
-    zeroed. The output is cut or zero-padded to out_len samples.
+    zeroed. So the accumulator never holds -0.0, and adding a zero of
+    either sign leaves it as it is: frames that differ only in the signs of
+    their zeros give the same bits. The output is cut or zero-padded to
+    out_len samples.
     """
     if hop < 1 or out_len < 0:
         raise ValueError(f"need hop >= 1 and out_len >= 0, got hop={hop}, out_len={out_len}")
@@ -250,11 +266,22 @@ def weighted_overlap_add(weighted: np.ndarray, hop: int, out_len: int, weights: 
 
 
 def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
-               key: str | None = None) -> np.ndarray:
-    """Invert stft: irfft per frame, then normalized overlap-add."""
+               key: str | None = None, zero: np.ndarray | None = None) -> np.ndarray:
+    """Invert stft: irfft per frame, then normalized overlap-add.
+
+    zero, a (..., num_frames) mask, marks frames whose bins are all zero:
+    spectra then holds only the other frames, in order, as (count, bins),
+    and each marked frame skips the irfft and is overlap-added as +0.0.
+    The bits are those of transforming it, whose output is zeros that may
+    be -0.0, as weighted_overlap_add erases the sign of a zero."""
     frames = scratch("istft_rows.frames", spectra.shape[:-1] + (fft_len,))
     np.fft.irfft(spectra, n=fft_len, axis=-1, out=frames)
     frames *= analysis_window(fft_len)
+    if zero is not None:
+        grid = scratch("istft_rows.grid", zero.shape + (fft_len,))
+        grid[zero] = 0.0
+        grid[~zero] = frames
+        frames = grid
     return weighted_overlap_add(frames, hop, out_len, "hann", key)
 
 

@@ -13,8 +13,9 @@ the chain would give it, without running it: the rest of its block runs as
 one compacted block. Under vad2 that needs pre-processing to keep silence
 silent, which spectral subtraction does only when beta * |N| is zero in
 every bin (_silence_stays_silent). The baseline's clip is the one-row case,
-a (1, n) array, and is never checked for silence; a row of at least
-2 * scorer.MIN_CHUNK_FRAMES frames also splits its frames across CPUs.
+a (1, n) array, whose silent frames the scorer skips instead
+(ReferenceScorer.score_rows); a row of at least 2 * scorer.MIN_CHUNK_FRAMES
+frames also splits its frames across CPUs.
 """
 
 from __future__ import annotations

@@ -4,16 +4,21 @@ Each stage is value-in/value-out and preserves buffer length, so stages
 compose in any order. The energy gate and RMS normalization map a row of
 zeros to zeros; spectral subtraction does so only when beta * |N| is zero in
 every bin, as with a silent lead-in's profile or beta = 0, and otherwise
-lifts silence to the floor beta * |N|. Every stage runs row by row over
-a (T, n) array of segments; the AudioBuffer functions are its T = 1 case.
-Inside the chain (`preprocess_rows_scratch`) each stage writes its output to
-the thread's scratch store (`dsp.scratch`); the public functions return copies.
+lifts silence to the floor beta * |N|. With a zero profile (NoiseProfile.zero,
+as a silent lead-in gives) the subtraction's gain is exactly 1: spectral
+subtraction then runs the STFT pair alone, and frames whose padded samples
+are all zero skip both transforms, with the full path's output bits.
+
+Every stage runs row by row over a (T, n) array of segments; the
+AudioBuffer functions are its T = 1 case. Inside the chain
+(`preprocess_rows_scratch`) each stage writes its output to the thread's
+scratch store (`dsp.scratch`); the public functions return copies.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,15 +80,18 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class NoiseProfile:
-    """Estimated noise magnitude per STFT bin."""
+    """Estimated noise magnitude per STFT bin; zero tells whether every bin
+    is 0, as a silent lead-in gives, so spectral subtraction's gain is 1."""
 
     magnitude_spectrum: np.ndarray
+    zero: bool = field(init=False)
 
     def __post_init__(self):
         mags = np.asarray(self.magnitude_spectrum, dtype=np.float64)
         if mags.ndim != 1 or np.any(mags < 0):
             raise ValueError("noise magnitudes must be a 1-D nonnegative array")
         object.__setattr__(self, "magnitude_spectrum", mags)
+        object.__setattr__(self, "zero", not mags.any())
 
 
 def estimate_noise(spec: dsp.Stft, k: int) -> NoiseProfile:
@@ -104,9 +112,15 @@ def subtract_magnitude(x_mag, alpha: float, noise_mag, beta: float, out=None):
 
 
 def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
-                       noise_mag: np.ndarray) -> np.ndarray:
+                       noise: NoiseProfile) -> np.ndarray:
     """Spectral subtraction of every row of a (T, n) array, with one noise
-    magnitude per bin for all rows."""
+    profile for all rows.
+
+    With a zero profile the gain max(|X| - alpha*0, beta*0)/|X| is exactly
+    1, so the frames go through the STFT pair alone, and a frame whose
+    padded samples are all zero skips both transforms (istft_rows' zero).
+    The output has the full path's bits: that path only turns zero bins
+    into +0.0, and the overlap-add erases the sign of a zero."""
     t, n = rows.shape
     # Reflect-pad by pad samples on each side. Frames of the padded grid that
     # lie wholly inside the padding reach no kept sample and are skipped;
@@ -123,21 +137,24 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     padded[:, pad + n:length] = rows[:, n - 1 - pad:n - 1][:, ::-1]
     padded[:, length:] = 0.0
     frames = dsp.frame_view(padded[:, start:start + span], FFT_LEN, FFT_HOP)
-    spec = dsp.rfft_frames(frames, FFT_LEN, dsp.analysis_window(FFT_LEN),
-                           key="spectral_subtract.spectra")
-    mag = np.abs(spec, out=dsp.scratch("spectral_subtract.mag", spec.shape))
-    clean = subtract_magnitude(mag, cfg.alpha, noise_mag, cfg.beta,
-                               out=dsp.scratch("spectral_subtract.clean", spec.shape))
-    # X * clean/|X| keeps the noisy phase; a zero bin has phase 0, so it
-    # becomes the real value clean. Only a row block with a zero bin needs
-    # the masked pass.
-    if mag.all():
-        spec *= np.divide(clean, mag, out=mag)
-    else:
-        zero = mag == 0.0
-        spec *= np.divide(clean, mag, out=mag, where=~zero)
-        np.copyto(spec, clean, where=zero)
-    out = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, pad - start + n, key="spectral_subtract.out")
+    silent = dsp.silent_frames(frames) if noise.zero else None
+    spec = dsp.rfft_frames(frames if silent is None else frames[~silent], FFT_LEN,
+                           dsp.analysis_window(FFT_LEN), key="spectral_subtract.spectra")
+    if not noise.zero:
+        mag = np.abs(spec, out=dsp.scratch("spectral_subtract.mag", spec.shape))
+        clean = subtract_magnitude(mag, cfg.alpha, noise.magnitude_spectrum, cfg.beta,
+                                   out=dsp.scratch("spectral_subtract.clean", spec.shape))
+        # X * clean/|X| keeps the noisy phase; a zero bin has phase 0, so it
+        # becomes the real value clean. Only a row block with a zero bin
+        # needs the masked pass.
+        if mag.all():
+            spec *= np.divide(clean, mag, out=mag)
+        else:
+            zero = mag == 0.0
+            spec *= np.divide(clean, mag, out=mag, where=~zero)
+            np.copyto(spec, clean, where=zero)
+    out = dsp.istft_rows(spec, FFT_LEN, FFT_HOP, pad - start + n, key="spectral_subtract.out",
+                         zero=silent)
     return out[:, pad - start:]
 
 
@@ -153,7 +170,7 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     require_pipeline_audio(buf)
     if noise is None:
         noise = clip_noise_profile(buf, cfg)
-    out = _spectral_subtract(buf.samples[None], cfg, noise.magnitude_spectrum)[0]
+    out = _spectral_subtract(buf.samples[None], cfg, noise)[0]
     return AudioBuffer(out.copy(), buf.sample_rate_hz)
 
 
@@ -226,7 +243,7 @@ def preprocess_rows_scratch(rows: np.ndarray, cfg: PreprocessConfig,
         raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")
     for stage in cfg.stages:
         if stage == "spectral_subtract":
-            rows = _spectral_subtract(rows, cfg, noise.magnitude_spectrum)
+            rows = _spectral_subtract(rows, cfg, noise)
         elif stage == "energy_gate":
             rows = _energy_gate(rows, cfg)
         elif stage == "rms_normalize":

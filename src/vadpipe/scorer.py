@@ -4,6 +4,13 @@ Two interchangeable score sources feed the aggregation stage: a built-in
 reference scorer (mel-band log-energy excess over a per-band noise floor)
 and a text score-file backend for scores computed by an external model.
 Scores are nonnegative per frame and channel.
+
+The reference scorer gives a frame of digital silence (every sample +0.0 or
+-0.0) the power +0.0 in every bin without windowing or transforming it,
+which is the power the transform gives it. It looks for such frames only in
+a single row of at least 2 * MIN_CHUNK_FRAMES frames, such as the
+baseline's whole clip, and scans only the frames whose first and last
+samples are both zero, so sounding audio pays a two-sample test per frame.
 """
 
 from __future__ import annotations
@@ -161,6 +168,13 @@ class ReferenceScorer:
         its chunk, so neither does the result: test_parallel's
         test_whole_clip_score_is_bit_for_bit_at_any_thread_count holds it
         to that.
+
+        A single such row also finds its frames of digital silence on the
+        calling thread (dsp.silent_frames) and gives them the power +0.0
+        unwindowed and untransformed (see the module docstring). Each
+        chunk's other frames are transformed as one compacted batch, which
+        numpy does frame by frame, and the projection still runs over whole
+        chunks, so its input is the same bytes.
         """
         frame_len, hop, fft_len = self._geometry()
         if filterbank is None:
@@ -168,12 +182,22 @@ class ReferenceScorer:
         frames = dsp.frame_rows(rows, frame_len, hop, key="score_rows.grid")
         log_energy = dsp.scratch("score_rows.log_energy",
                                  frames.shape[:-1] + (filterbank.shape[0],))
+        silent = None
+        if len(rows) == 1 and frames.shape[1] >= 2 * MIN_CHUNK_FRAMES:
+            silent = dsp.silent_frames(frames)
 
         def chunk(start, stop):
-            spectra = dsp.rfft_frames(frames[:, start:stop], fft_len, _hanning(frame_len),
-                                      key="score.spectra")
+            part = frames[:, start:stop]
+            quiet = None if silent is None else silent[:, start:stop]
+            spectra = dsp.rfft_frames(part if quiet is None else part[~quiet], fft_len,
+                                      _hanning(frame_len), key="score.spectra")
             power = np.abs(spectra, out=dsp.scratch("score_rows.power", spectra.shape))
             np.square(power, out=power)
+            if quiet is not None:   # a silent frame's power is +0.0 in every bin
+                grid = dsp.scratch("score_rows.power_grid", quiet.shape + power.shape[-1:])
+                grid[quiet] = 0.0
+                grid[~quiet] = power
+                power = grid
             np.log(power @ filterbank.T + _LOG_FLOOR, out=log_energy[:, start:stop])
 
         parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)

@@ -215,3 +215,38 @@ class TestRfftFrames:
         got = dsp.rfft_frames(frames, fft_len, win)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert dsp.rfft_frames(frames, fft_len, win, key="test.spectra").tobytes() == want.tobytes()
+
+
+class TestSilentFrames:
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.02, 0.5, 1.0])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_marks_exactly_the_frames_of_zeros(self, rng, density, zero):
+        x = np.where(rng.random((3, 4000)) < density, rng.standard_normal((3, 4000)), zero)
+        frames = dsp.frame_view(x, 400, 160)
+        want = ~frames.any(axis=-1)
+        got = dsp.silent_frames(frames)
+        assert (got is None) == (not want.any())
+        assert got is None or (got.shape == want.shape and np.array_equal(got, want))
+
+    def test_a_lone_interior_sample_keeps_its_frames(self):
+        # the frames holding sample 500 start and end on a zero
+        x = np.zeros(2000)
+        x[500] = 1e-300
+        frames = dsp.frame_view(x, 400, 160)
+        assert np.array_equal(dsp.silent_frames(frames), ~frames.any(axis=-1))
+        assert not dsp.silent_frames(frames)[1:4].any()
+        x[[0, 1999]] = 1.0
+        assert dsp.silent_frames(dsp.frame_view(x[:900], 400, 160)) is None
+
+
+def test_istft_rows_zero_frames_are_the_transform_of_zeros(rng):
+    # A frame of zero bins, -0.0 ones included, overlap-adds as +0.0 with
+    # no irfft: the same bits as transforming it.
+    spectra = rng.standard_normal((2, 12, 257)) + 1j * rng.standard_normal((2, 12, 257))
+    zero = np.zeros((2, 12), bool)
+    zero[0, 3:7] = zero[1, :2] = zero[1, -1] = True
+    spectra[zero] = complex(-0.0, -0.0)
+    spectra[0, 4, ::2] = 0.0
+    want = dsp.istft_rows(spectra, 512, 128, 2000)
+    got = dsp.istft_rows(spectra[~zero], 512, 128, 2000, zero=zero)
+    assert got.tobytes() == want.tobytes()

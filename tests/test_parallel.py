@@ -97,14 +97,32 @@ def test_outcome_independent_of_thread_count(clip, mode):
 @pytest.mark.parametrize("count", [1, 2, 3, 5])
 def test_whole_clip_score_is_bit_for_bit_at_any_thread_count(count):
     # score() transforms its frames as parallel chunks; the reference runs
-    # them inline, on one thread
-    buf = CLIPS["uneven_baseline_frames"]()
+    # them inline, on one thread. A clean clip's frames are mostly silent,
+    # and each chunk transforms only the others.
     sc = scorer.ReferenceScorer()
-    parallel.set_threads(1)
-    want = sc.score_rows(buf.samples[None])[0]
-    assert len(want) == 503 and len(want) >= 2 * scorer.MIN_CHUNK_FRAMES
-    parallel.set_threads(count)
-    assert sc.score(buf).scores.tobytes() == want.tobytes()
+    for clip, frames in (("uneven_baseline_frames", 503), ("digital_silence", 799)):
+        buf = CLIPS[clip]()
+        parallel.set_threads(1)
+        want = sc.score_rows(buf.samples[None])[0]
+        assert len(want) == frames and len(want) >= 2 * scorer.MIN_CHUNK_FRAMES
+        parallel.set_threads(count)
+        assert sc.score(buf).scores.tobytes() == want.tobytes(), clip
+
+
+def test_noisy_clips_take_no_silence_scan_on_the_pool(monkeypatch):
+    # Whether to look for silent frames is settled once per clip on the
+    # calling thread: the baseline's row is tested there, and a noisy clip's
+    # row chunks on the pool make no call for it in any mode.
+    calls = []
+    silent_frames = dsp.silent_frames
+    monkeypatch.setattr(dsp, "silent_frames", lambda frames: (
+        calls.append(threading.get_ident()) or silent_frames(frames)))
+    parallel.set_threads(2)
+    buf = noisy(int(4.13 * SR))
+    for mode in MODES:
+        calls.clear()
+        run_pipeline(buf, PipelineConfig(mode=mode, thresh=THRESH))
+        assert calls == ([threading.get_ident()] if mode == "baseline" else []), mode
 
 
 def test_chunk_bounds_cover_in_order():

@@ -147,6 +147,97 @@ class TestSpectralSubtract:
             True, True, False]
         assert np.all(got[1] != 0.0)   # silence in, the spectral floor out
 
+    @staticmethod
+    def rows_with_silence(rng):
+        """Segments holding silent frames of the padded grid: a stretch of
+        +0.0 and one of -0.0, each with a lone nonzero sample that the frames
+        over it hold inside, away from their ends; a segment of -0.0 samples;
+        and one of noise alone."""
+        rows = rng.standard_normal((4, 3200)) * 0.2
+        rows[0, 300:2500] = 0.0
+        rows[1, 700:3200] = -0.0
+        rows[:2, 1400] = 0.01
+        rows[2] = -0.0
+        return rows
+
+    @staticmethod
+    def stft_pair(row):
+        """tests/oracle.py's STFT and inverse over the reflect-padded row: the
+        subtraction with a gain of 1."""
+        n = len(row)
+        pad = min(FFT_LEN, n - 1)
+        padded = np.pad(row, pad, mode="reflect") if pad else row
+        spec = oracle.stft(padded, FFT_LEN, FFT_HOP)
+        return oracle.istft(spec, FFT_LEN, FFT_HOP, len(padded))[pad:pad + n]
+
+    @staticmethod
+    def count_transformed(monkeypatch) -> list:
+        transformed = []
+        rfft_frames = dsp.rfft_frames
+        monkeypatch.setattr(dsp, "rfft_frames", lambda frames, *a, **k: (
+            transformed.append(frames.shape[:-1]) or rfft_frames(frames, *a, **k)))
+        return transformed
+
+    def test_zero_profile_skips_the_gain_and_the_silent_frames(self, rng, monkeypatch):
+        # With |N| = 0 the gain is exactly 1, and a frame of zeros gives
+        # zeros: the output has the bits of the full formula, and of the
+        # oracle's STFT pair, while only the frames with a nonzero sample are
+        # transformed.
+        rows = self.rows_with_silence(rng)
+        cfg = PreprocessConfig()
+        noise = NoiseProfile(np.zeros(257))
+        assert noise.zero
+        transformed = self.count_transformed(monkeypatch)
+        got = preprocess_rows_scratch(rows, PreprocessConfig(stages=("spectral_subtract",)),
+                                      noise).copy()
+        # the 28 kept frames of each row's padded grid, less the silent ones
+        kept = dsp.frame_view(np.pad(rows, ((0, 0), (512, 512)), mode="reflect")[:, 128:-128],
+                              FFT_LEN, FFT_HOP)
+        silent = ~kept.any(axis=-1)
+        assert kept.shape[1] == 28 and list(silent.sum(axis=1)) == [9, 15, 28, 0]
+        assert transformed == [(int((~silent).sum()),)]
+        for row, out in zip(rows, got):
+            want, _ = self.whole_grid_reference(row, cfg, noise)
+            assert out.tobytes() == want.tobytes() == self.stft_pair(row).tobytes()
+            alone = spectral_subtract(make_buffer(row), cfg, noise=noise).samples
+            assert alone.tobytes() == want.tobytes()
+            near = oracle.spectral_subtract(row, cfg, np.zeros(257))
+            assert np.allclose(out, near, rtol=0, atol=1e-15)
+        assert got[2].tobytes() == np.zeros(3200).tobytes()   # -0.0 in, +0.0 out
+
+    def test_zero_profile_chain_has_the_full_paths_bits(self, rng):
+        rows = self.rows_with_silence(rng)
+        cfg = PreprocessConfig()
+        noise = NoiseProfile(np.zeros(257))
+        got = preprocess_rows_scratch(rows, cfg, noise).copy()
+        for row, out in zip(rows, got):
+            subtracted, _ = self.whole_grid_reference(row, cfg, noise)
+            want = rms_normalize(energy_gate(make_buffer(subtracted), cfg), cfg.target_rms)
+            assert out.tobytes() == want.samples.tobytes()
+            alone = preprocess_segment(make_buffer(row), cfg, noise)
+            assert alone.samples.tobytes() == want.samples.tobytes()
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    def test_a_nonzero_profile_takes_the_full_path(self, rng, monkeypatch, beta):
+        # One nonzero bin is enough, beta = 0 included: beta * |N| is then 0
+        # in every bin, but alpha * |N| is not, and the gain is not 1.
+        mags = np.zeros(257)
+        mags[40] = 0.05
+        noise = NoiseProfile(mags)
+        assert not noise.zero
+        rows = self.rows_with_silence(rng)
+        cfg = PreprocessConfig(beta=beta)
+        transformed = self.count_transformed(monkeypatch)
+        got = preprocess_rows_scratch(rows, PreprocessConfig(beta=beta,
+                                                             stages=("spectral_subtract",)),
+                                      noise).copy()
+        assert transformed == [(4, 28)]
+        for row, out in zip(rows, got):
+            want, _ = self.whole_grid_reference(row, cfg, noise)
+            assert out.tobytes() == want.tobytes()
+            if row.any():
+                assert out.tobytes() != self.stft_pair(row).tobytes()
+
     @pytest.mark.parametrize("n", [300, 700, 1152, 3200])
     def test_self_estimate_reads_only_the_lead_in(self, rng, n, monkeypatch):
         # The default lead-in is (6 - 1) * 128 + 512 = 1152 samples.

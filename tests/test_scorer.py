@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vadpipe import dsp
+from vadpipe import dsp, parallel
 from vadpipe.audio_io import PIPELINE_RATE_HZ
+from vadpipe.pipeline import PipelineConfig
 from vadpipe.preprocess import rms_normalize
 from vadpipe.scorer import (MAX_BANDS, MIN_FFT_LEN, NOISE_FLOOR_PERCENTILE, FrameScoreMatrix,
                             ReferenceScorer, ScoreDomainError, ScoreFormatError, load_scores,
                             _noise_floor, mel_filterbank, slice_scores, write_scores)
 
 from conftest import make_buffer
+import oracle
 
 
 def am_tone(duration_s=2.0, sr=16000, f0=180.0, am_hz=4.0, leading_silence_s=0.6):
@@ -159,6 +161,62 @@ def test_stacked_mel_projection_is_row_by_row_bit_for_bit(rng):
         stacked = power @ filterbank.T
         for row in range(t):
             assert stacked[row].tobytes() == (power[row:row + 1] @ filterbank.T)[0].tobytes()
+
+
+class TestSilentFrames:
+    """A row of at least 2 * MIN_CHUNK_FRAMES frames, as the baseline's
+    whole clip, scores its frames of digital silence without transforming
+    them, with the bits of tests/oracle.py, which transforms every frame."""
+
+    @staticmethod
+    def row_with_silence(rng, zero: float) -> np.ndarray:
+        # 249 frames; two silent stretches, the second holding one nonzero
+        # sample that every frame over it has inside, away from its ends
+        x = rng.standard_normal(40000) * 0.1
+        x[4000:16000] = zero
+        x[20000:30000] = zero
+        x[25000] = 0.05
+        return x
+
+    @pytest.fixture(autouse=True)
+    def reset_threads(self):
+        yield
+        parallel.set_threads(None)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_silent_frames_skip_the_transform_with_the_same_bits(self, rng, monkeypatch,
+                                                                 zero, threads):
+        x = self.row_with_silence(rng, zero)
+        want = oracle.score(x, PipelineConfig())
+        silent = int((~oracle.frames_of(x, 400, 160).any(axis=1)).sum())
+        assert len(want) == 249 and 60 < silent < 249 - 100
+        transformed = []
+        rfft_frames = dsp.rfft_frames
+        monkeypatch.setattr(dsp, "rfft_frames", lambda frames, *a, **k: (
+            transformed.append(frames.shape[-2]) or rfft_frames(frames, *a, **k)))
+        parallel.set_threads(threads)
+        got = ReferenceScorer().score_rows(x[None])
+        assert got.shape == (1,) + want.shape and got[0].tobytes() == want.tobytes()
+        assert sum(transformed) == len(want) - silent
+
+    def test_a_silent_row_scores_zero(self):
+        row = np.zeros((1, 40000))
+        row[0, ::2] = -0.0
+        assert ReferenceScorer().score_rows(row).tobytes() == np.zeros((1, 249, 32)).tobytes()
+
+    def test_short_rows_and_blocks_are_not_scanned(self, rng, monkeypatch):
+        # vote-mode rows (19 frames each), and blocks of several rows, take no
+        # silence test: they run on the pool threads, and gained nothing from it
+        scans = []
+        monkeypatch.setattr(dsp, "silent_frames", lambda frames: scans.append(frames.shape))
+        x = self.row_with_silence(rng, 0.0)
+        ReferenceScorer().score_rows(x[:3200 * 12].reshape(12, 3200))
+        ReferenceScorer().score_rows(np.stack([x, x]))
+        ReferenceScorer().score_rows(x[None, :32000])   # 199 frames
+        assert scans == []
+        ReferenceScorer().score_rows(x[None, :32240])   # 200 frames
+        assert scans == [(1, 200, 400)]
 
 
 class TestFftLength:
