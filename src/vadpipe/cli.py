@@ -19,7 +19,7 @@ from pathlib import Path
 from . import parallel
 from .audio_io import ensure_rate, read_wav
 from .evaluate import DEFAULT_TARGET_TPR, accuracy_table_markdown, run_eval
-from .pipeline import MODES, PipelineConfig, run_pipeline, run_pipeline_on_scores
+from .pipeline import CLIP_ERRORS, MODES, PipelineConfig, run_pipeline, run_pipeline_on_scores
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
 from .scorer import ReferenceScorer, load_scores
@@ -191,7 +191,7 @@ def cmd_detect(args, parser) -> int:
     for path in paths:
         try:
             result = _detect_one(path, cfg)
-        except (OSError, ValueError) as exc:
+        except CLIP_ERRORS as exc:
             print(f"error: {path}: {exc}", file=sys.stderr)
             failed += 1
             continue
@@ -313,13 +313,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    try:
+    try:   # --help, and parser.error in parse_args or inside a subcommand
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
         return args.func(args, parser)
-    except SystemExit as exc:  # parser.error inside a subcommand
+    except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
 
 

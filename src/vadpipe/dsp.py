@@ -135,15 +135,38 @@ def frame_view(padded: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
 
 def silent_frames(frames: np.ndarray) -> np.ndarray | None:
     """Which frames of (..., num_frames, frame_len) hold only +0.0 or -0.0
-    samples, as a (..., num_frames) mask, or None when none does. Only the
-    frames whose first and last samples are both zero are scanned, so
-    frames of sounding audio cost a two-sample test."""
+    samples, as a (..., num_frames) mask, or None when none does: the one
+    test for digital silence. The frames are scanned, in one pass with no
+    copy, only when some frame starts and ends on a zero, so frames of
+    sounding audio cost a two-sample test."""
     silent = (frames[..., 0] == 0.0) & (frames[..., -1] == 0.0)
     if silent.any():
-        silent[silent] = ~frames[silent].any(axis=-1)
+        silent &= ~frames.any(axis=-1)
         if silent.any():
             return silent
     return None
+
+
+def spread(compact: np.ndarray, silent: np.ndarray | None,
+           key: str | None = None) -> np.ndarray:
+    """Compacted results put back in place: compact (count, ...) holds, in
+    order, the results of the entries a silent_frames mask does not mark;
+    the result, (*silent.shape, ...), has +0.0 at the marked ones (in
+    scratch under key, if given). compact itself when silent is None.
+
+    This is why skipping digital silence keeps every output bit. A skipped
+    result is the one the work gives: a silent segment scores +0.0, a
+    silent frame's power is +0.0 in every bin, and a frame of zero bins
+    transforms to zeros, whose sign weighted_overlap_add erases. The other
+    entries keep their bits in a compacted batch, as numpy transforms each
+    frame, and a stacked matmul projects each row, on its own.
+    """
+    if silent is None:
+        return compact
+    out = _buffer(key, silent.shape + compact.shape[1:], compact.dtype)
+    out[silent] = 0.0
+    out[~silent] = compact
+    return out
 
 
 def frame_signal(buf: AudioBuffer, frame_len: int, hop: int) -> FrameGrid:
@@ -271,18 +294,13 @@ def istft_rows(spectra: np.ndarray, fft_len: int, hop: int, out_len: int,
 
     zero, a (..., num_frames) mask, marks frames whose bins are all zero:
     spectra then holds only the other frames, in order, as (count, bins),
-    and each marked frame skips the irfft and is overlap-added as +0.0.
-    The bits are those of transforming it, whose output is zeros that may
-    be -0.0, as weighted_overlap_add erases the sign of a zero."""
+    and each marked frame skips the irfft and is overlap-added as +0.0,
+    with the bits of transforming it (see spread)."""
     frames = scratch("istft_rows.frames", spectra.shape[:-1] + (fft_len,))
     np.fft.irfft(spectra, n=fft_len, axis=-1, out=frames)
     frames *= analysis_window(fft_len)
-    if zero is not None:
-        grid = scratch("istft_rows.grid", zero.shape + (fft_len,))
-        grid[zero] = 0.0
-        grid[~zero] = frames
-        frames = grid
-    return weighted_overlap_add(frames, hop, out_len, "hann", key)
+    return weighted_overlap_add(spread(frames, zero, "istft_rows.grid"), hop, out_len,
+                                "hann", key)
 
 
 def istft(spec: Stft, out_len: int) -> AudioBuffer:

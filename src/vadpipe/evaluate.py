@@ -19,7 +19,7 @@ import numpy as np
 
 from . import parallel
 from .audio_io import ensure_rate, read_wav
-from .pipeline import PipelineConfig, PipelineResult, run_pipeline
+from .pipeline import CLIP_ERRORS, PipelineConfig, PipelineResult, run_pipeline
 from .postprocess import window_statistics
 from .synth import Manifest
 
@@ -112,13 +112,14 @@ def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> floa
 
 def _evaluate_clip(path: str, cfgs: Sequence[PipelineConfig]) -> list[PipelineResult | str]:
     """Decode one clip once and run every config on it: per config, its
-    PipelineResult or its error message. Any exception becomes that clip's
-    error, so one bad clip cannot abort the whole evaluation.
+    PipelineResult or its error message. A declared per-clip error
+    (pipeline.CLIP_ERRORS) becomes that clip's error, so one bad clip cannot
+    abort the whole evaluation; any other exception propagates.
     """
     def attempt(step):
         try:
             return step()
-        except Exception as exc:
+        except CLIP_ERRORS as exc:
             return f"{path}: {type(exc).__name__}: {exc}"
 
     buf = attempt(lambda: ensure_rate(read_wav(path)))

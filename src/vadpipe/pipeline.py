@@ -7,13 +7,12 @@ preprocessing on every segment. A clip's segments travel as one zero-padded
 (T, seg_len) array through pre-processing and scoring, split into one
 contiguous chunk of rows per CPU (`parallel.map_chunks`), and each chunk
 also reduces its rows' scores to their segment values; the results are the
-same as running each segment on its own, on any number of CPUs. A segment
-of digital silence (every sample +0.0 or -0.0) gets the value +0.0, which
-the chain would give it, without running it: the rest of its block runs as
-one compacted block. Under vad2 that needs pre-processing to keep silence
-silent, which spectral subtraction does only when beta * |N| is zero in
-every bin (_silence_stays_silent). The baseline's clip is the one-row case,
-a (1, n) array, whose silent frames the scorer skips instead
+same as running each segment on its own, on any number of CPUs. In the vote
+modes a segment of digital silence (dsp.silent_frames) gets the value +0.0,
+which the chain would give it, without running it, whenever pre-processing
+keeps silence silent (preprocess.keeps_silence): each chunk runs only its
+other rows, and dsp.spread puts the values back. The baseline's clip is the
+one-row case, a (1, n) array, whose silent frames the scorer skips instead
 (ReferenceScorer.score_rows); a row of at least 2 * scorer.MIN_CHUNK_FRAMES
 frames also splits its frames across CPUs.
 """
@@ -25,11 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import parallel
+from . import dsp, parallel
 from .audio_io import PIPELINE_RATE_HZ, AudioBuffer, require_pipeline_audio, require_pipeline_rate
 from .aggregate import segment_values
 from .postprocess import VadDecision, VoteConfig, window_statistics
-from .preprocess import (NoiseProfile, PreprocessConfig, clip_noise_profile,
+from .preprocess import (PreprocessConfig, clip_noise_profile, keeps_silence,
                          preprocess_rows_scratch, require_finite)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
 # Unused here but kept importable from this module, where perfbench/tracing.py's
@@ -40,13 +39,17 @@ from .preprocess import preprocess_segment  # noqa: F401
 
 MODES = ("baseline", "vad1", "vad2")
 SCORER_BACKENDS = ("reference", "score-file")
+# The errors `detect` and `eval` report against one clip before going on;
+# any other exception is a fault of the program and propagates.
+CLIP_ERRORS = (OSError, ValueError, MemoryError)
 # Each thread's chunk of rows runs through pre-processing and scoring at most
 # this many rows at a time. Rows are independent, so the block size changes
 # no result. It bounds each stage's temporaries to ~2.3 MB for 200 ms rows at
 # 16 kHz, inside the per-thread scratch store (dsp.SCRATCH_LIMIT_BYTES), so
 # they are reused rather than mapped afresh; an 8 s clip on two CPUs runs as
 # one block per thread. Blocks of 8 rows measured 10-25 % slower per clip
-# (more numpy calls for the same work, 2-vCPU Xeon VM).
+# (more numpy calls for the same work, 2-vCPU Xeon VM). A chunk's blocks hold
+# its live rows only, the rows that dsp.silent_frames does not mark.
 ROW_BLOCK = 20
 # The longest segment a config may ask for. A clip is zero-padded to whole
 # segments, so memory grows with them: at 16 kHz a one-minute row is 7.7 MB.
@@ -135,20 +138,11 @@ def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:
                           values.tolist())
 
 
-def _silence_stays_silent(cfg: PreprocessConfig, noise: NoiseProfile | None) -> bool:
-    """Whether pre-processing, when on, maps a row of zeros to zeros. The
-    gate and RMS normalization always do; spectral subtraction does only
-    when beta * |N|, the floor subtract_magnitude forms, is zero in every
-    bin (a silent lead-in gives |N| = 0)."""
-    return (noise is None or "spectral_subtract" not in cfg.stages
-            or not np.any(cfg.beta * noise.magnitude_spectrum))
-
-
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     """Detect speech in one clip of pipeline audio (see require_pipeline_audio);
     the baseline's one row is the whole clip, a segment that is its own vote.
-    In the vote modes, a segment of all zeros gets the value +0.0 unscored
-    whenever pre-processing maps it to zeros (_silence_stays_silent)."""
+    In the vote modes, a segment of digital silence gets the value +0.0
+    unscored whenever pre-processing keeps silence silent (keeps_silence)."""
     require_pipeline_audio(buf)
     scorer = cfg.scoring
     rows = segment_rows(buf, cfg.segment_ms) if cfg.vote_enabled else buf.samples[None]
@@ -156,38 +150,24 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
     # anything a caller may have wrapped.
     noise = clip_noise_profile(buf, cfg.preprocess) if cfg.preprocess_enabled else None
     filterbank = scorer.filterbank()
-    # live[t]: row t holds a nonzero sample. None runs every row: when each
-    # row starts with a nonzero sample (no scan), or when pre-processing
-    # would not keep silence at +0.0. Taken once per clip on this thread;
-    # a scan per row block on the pool threads cost noisy vad1 clips ~30 us.
-    live = None
-    if (cfg.vote_enabled and not rows[:, 0].all()
-            and _silence_stays_silent(cfg.preprocess, noise)):
-        live = rows.any(axis=-1)
-
-    def block_values(block: np.ndarray) -> np.ndarray:
-        if noise is not None:
-            block = preprocess_rows_scratch(block, cfg.preprocess, noise)
-        return segment_values(scorer.score_rows(block, filterbank))
+    # Scanned once per clip on this thread: a scan per row block on the
+    # pool threads cost noisy vad1 clips ~30 us.
+    silent = None
+    if cfg.vote_enabled and (noise is None or keeps_silence(cfg.preprocess, noise)):
+        silent = dsp.silent_frames(rows)
 
     def value_chunk(start: int, stop: int) -> list[np.ndarray]:
-        values = []
-        for lo in range(start, stop, ROW_BLOCK):
-            hi = min(lo + ROW_BLOCK, stop)
-            if live is None or live[lo:hi].all():
-                values.append(block_values(rows[lo:hi]))
-                continue
-            # Silent rows keep the +0.0 the chain would give them; the live
-            # rows run as one compacted block, with the bits they get alone
-            # (stacked matmul runs one gemm per row).
-            value, keep = np.zeros(hi - lo), live[lo:hi]
-            if keep.any():
-                value[keep] = block_values(rows[lo:hi][keep])
-            values.append(value)
+        live = rows[start:stop] if silent is None else rows[start:stop][~silent[start:stop]]
+        values = [np.empty(0)]   # an all-silent chunk runs no block
+        for lo in range(0, len(live), ROW_BLOCK):
+            block = live[lo:lo + ROW_BLOCK]
+            if noise is not None:
+                block = preprocess_rows_scratch(block, cfg.preprocess, noise)
+            values.append(segment_values(scorer.score_rows(block, filterbank)))
         return values
 
-    return _decide(np.concatenate([v for chunk in parallel.map_chunks(value_chunk, len(rows))
-                                   for v in chunk]), cfg)
+    values = [v for chunk in parallel.map_chunks(value_chunk, len(rows)) for v in chunk]
+    return _decide(dsp.spread(np.concatenate(values), silent), cfg)
 
 
 def run_pipeline_on_scores(matrix: FrameScoreMatrix,

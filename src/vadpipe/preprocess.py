@@ -1,13 +1,12 @@
 """Noise-removal chain: spectral subtraction, energy gating, RMS normalization.
 
 Each stage is value-in/value-out and preserves buffer length, so stages
-compose in any order. The energy gate and RMS normalization map a row of
-zeros to zeros; spectral subtraction does so only when beta * |N| is zero in
-every bin, as with a silent lead-in's profile or beta = 0, and otherwise
-lifts silence to the floor beta * |N|. With a zero profile (NoiseProfile.zero,
-as a silent lead-in gives) the subtraction's gain is exactly 1: spectral
-subtraction then runs the STFT pair alone, and frames whose padded samples
-are all zero skip both transforms, with the full path's output bits.
+compose in any order. Whether the chain maps a row of zeros to zeros, so
+that a caller may skip it, is keeps_silence's rule. With a zero profile
+(NoiseProfile.zero, as a silent lead-in gives) the subtraction's gain is
+exactly 1: spectral subtraction then runs the STFT pair alone, and its
+frames of digital silence skip both transforms (dsp.silent_frames,
+dsp.spread), with the full path's output bits.
 
 Every stage runs row by row over a (T, n) array of segments; the
 AudioBuffer functions are its T = 1 case. Inside the chain
@@ -94,6 +93,15 @@ class NoiseProfile:
         object.__setattr__(self, "zero", not mags.any())
 
 
+def keeps_silence(cfg: PreprocessConfig, noise: NoiseProfile) -> bool:
+    """Whether the chain maps a row of zeros to zeros. The energy gate and
+    RMS normalization always do; spectral subtraction does only when
+    beta * |N|, the floor subtract_magnitude forms, is zero in every bin,
+    as with a silent lead-in's profile or beta = 0, and otherwise lifts
+    silence to that floor."""
+    return "spectral_subtract" not in cfg.stages or not np.any(cfg.beta * noise.magnitude_spectrum)
+
+
 def estimate_noise(spec: dsp.Stft, k: int) -> NoiseProfile:
     """Mean magnitude over the k leading frames, per bin."""
     if k < 1:
@@ -120,7 +128,7 @@ def _spectral_subtract(rows: np.ndarray, cfg: PreprocessConfig,
     1, so the frames go through the STFT pair alone, and a frame whose
     padded samples are all zero skips both transforms (istft_rows' zero).
     The output has the full path's bits: that path only turns zero bins
-    into +0.0, and the overlap-add erases the sign of a zero."""
+    into +0.0 (see dsp.spread)."""
     t, n = rows.shape
     # Reflect-pad by pad samples on each side. Frames of the padded grid that
     # lie wholly inside the padding reach no kept sample and are skipped;

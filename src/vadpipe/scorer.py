@@ -6,11 +6,10 @@ and a text score-file backend for scores computed by an external model.
 Scores are nonnegative per frame and channel.
 
 The reference scorer gives a frame of digital silence (every sample +0.0 or
--0.0) the power +0.0 in every bin without windowing or transforming it,
-which is the power the transform gives it. It looks for such frames only in
-a single row of at least 2 * MIN_CHUNK_FRAMES frames, such as the
-baseline's whole clip, and scans only the frames whose first and last
-samples are both zero, so sounding audio pays a two-sample test per frame.
+-0.0) the power +0.0 in every bin without windowing or transforming it
+(dsp.silent_frames, dsp.spread). It looks for such frames only in a single
+row of at least 2 * MIN_CHUNK_FRAMES frames, such as the baseline's whole
+clip.
 """
 
 from __future__ import annotations
@@ -170,11 +169,10 @@ class ReferenceScorer:
         to that.
 
         A single such row also finds its frames of digital silence on the
-        calling thread (dsp.silent_frames) and gives them the power +0.0
-        unwindowed and untransformed (see the module docstring). Each
-        chunk's other frames are transformed as one compacted batch, which
-        numpy does frame by frame, and the projection still runs over whole
-        chunks, so its input is the same bytes.
+        calling thread (dsp.silent_frames). Each chunk transforms only its
+        other frames, as one compacted batch, and dsp.spread gives the
+        silent ones the power +0.0; the projection still runs over whole
+        chunks, with the same bits (see dsp.spread).
         """
         frame_len, hop, fft_len = self._geometry()
         if filterbank is None:
@@ -193,11 +191,7 @@ class ReferenceScorer:
                                       _hanning(frame_len), key="score.spectra")
             power = np.abs(spectra, out=dsp.scratch("score_rows.power", spectra.shape))
             np.square(power, out=power)
-            if quiet is not None:   # a silent frame's power is +0.0 in every bin
-                grid = dsp.scratch("score_rows.power_grid", quiet.shape + power.shape[-1:])
-                grid[quiet] = 0.0
-                grid[~quiet] = power
-                power = grid
+            power = dsp.spread(power, quiet, "score_rows.power_grid")
             np.log(power @ filterbank.T + _LOG_FLOOR, out=log_energy[:, start:stop])
 
         parallel.map_chunks(chunk, frames.shape[1], MIN_CHUNK_FRAMES)

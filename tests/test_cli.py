@@ -278,6 +278,18 @@ class TestDetectCommand:
     def test_no_inputs_usage_error(self):
         assert main(["detect", "--mode", "vad1"]) == 2
 
+    def test_memory_error_fails_clip(self, tmp_path, capsys, monkeypatch):
+        # a clip too large for memory is that clip's error, not a traceback
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 119. GiB")
+
+        monkeypatch.setattr(ReferenceScorer, "score_rows", out_of_memory)
+        wav = tmp_path / "n.wav"
+        write_wav(make_buffer(np.random.default_rng(0).standard_normal(16000) * 0.1), wav)
+        assert main(["detect", "--mode", "vad1", str(wav)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {wav}: Unable to allocate 119. GiB\n"
+
 
 class TestEvalCommand:
     def test_three_mode_report(self, corpus_dir, tmp_path, capsys):

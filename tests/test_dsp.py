@@ -238,6 +238,55 @@ class TestSilentFrames:
         x[[0, 1999]] = 1.0
         assert dsp.silent_frames(dsp.frame_view(x[:900], 400, 160)) is None
 
+    @pytest.mark.parametrize("density", [0.0, 0.001, 0.5])
+    def test_rows_of_segments(self, rng, density):
+        # run_pipeline's (T, n) rows: ±0.0 rows, and rows whose first and
+        # last samples are zero though others are not (dense candidates)
+        rows = np.where(rng.random((12, 3200)) < density, rng.standard_normal((12, 3200)), 0.0)
+        rows[[1, 5]] = 0.0
+        rows[[2, 9]] = -0.0
+        rows[[3, 7]] = 1.0
+        rows[[3, 7], 0] = rows[[3, 7], -1] = -0.0
+        got = dsp.silent_frames(rows)
+        assert np.array_equal(got, ~rows.any(axis=-1))
+        assert got[[1, 2, 5, 9]].all() and not got[[3, 7]].any()
+        rows[:, 0] = 1e-300
+        assert dsp.silent_frames(rows) is None
+
+
+class TestSpread:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_marked_entries_are_plus_zero_and_the_rest_keep_their_order(self, rng, dtype):
+        silent = np.zeros((2, 7), bool)
+        silent[0, [0, 3]] = silent[1, 6] = True
+        compact = (rng.standard_normal((11, 5)) + 1).astype(dtype)
+        # the buffers it may write to start out dirty with -0.0
+        dsp.scratch("test.spread", (2 * silent.size * 5,), dtype).fill(-0.0)
+        for key in (None, "test.spread"):
+            out = dsp.spread(compact, silent, key)
+            assert out.shape == (2, 7, 5) and out.dtype == dtype
+            assert out[~silent].tobytes() == compact.tobytes()
+            plus_zero = np.zeros((3, 5), dtype)
+            assert out[silent].tobytes() == plus_zero.tobytes()
+
+    def test_values_of_rows(self):
+        silent = np.array([True, False, True, False])
+        out = dsp.spread(np.array([2.0, -3.0]), silent)
+        assert out.tobytes() == np.array([0.0, 2.0, 0.0, -3.0]).tobytes()
+        assert dsp.spread(np.empty(0), np.ones(3, bool)).tobytes() == np.zeros(3).tobytes()
+
+    def test_no_mask_returns_the_input_itself(self, rng):
+        compact = rng.standard_normal((4, 3))
+        assert dsp.spread(compact, None) is compact
+        assert dsp.spread(compact, None, "test.spread") is compact
+
+    def test_with_a_key_the_result_lands_in_scratch(self, rng):
+        silent = np.array([False, True, False])
+        out = dsp.spread(rng.standard_normal((2, 4)), silent, "test.spread_key")
+        assert np.shares_memory(out, dsp.scratch("test.spread_key", (3, 4)))
+        assert not np.shares_memory(dsp.spread(out[::2].copy(), silent),
+                                    dsp.scratch("test.spread_key", (3, 4)))
+
 
 def test_istft_rows_zero_frames_are_the_transform_of_zeros(rng):
     # A frame of zero bins, -0.0 ones included, overlap-adds as +0.0 with

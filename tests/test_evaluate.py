@@ -4,7 +4,7 @@ import pytest
 
 from vadpipe.evaluate import (class_accuracy, clip_statistic, fpr_at_tpr,
                               roc_sweep, run_eval)
-from vadpipe.pipeline import PipelineConfig
+from vadpipe.pipeline import CLIP_ERRORS, PipelineConfig
 from vadpipe.postprocess import final_decision, vote_with_fallback
 from vadpipe.synth import generate_corpus
 
@@ -209,13 +209,14 @@ class TestRunEval:
         run_eval(corpus, configs)
         assert sorted(calls) == sorted(str(corpus.resolve(e)) for e in corpus.entries)
 
-    def test_any_worker_exception_is_a_clip_error(self, corpus, monkeypatch):
+    @pytest.mark.parametrize("error", CLIP_ERRORS)
+    def test_a_declared_error_is_a_clip_error(self, corpus, monkeypatch, error):
         from vadpipe import evaluate
         real = evaluate.run_pipeline
 
         def flaky(buf, cfg):
             if cfg.mode == "vad1":
-                raise RuntimeError("scorer exploded")
+                raise error("scorer exploded")
             return real(buf, cfg)
 
         monkeypatch.setattr(evaluate, "run_pipeline", flaky)
@@ -223,7 +224,20 @@ class TestRunEval:
         baseline, vad1 = run_eval(corpus, configs)
         assert baseline.errors == () and baseline.num_clips == len(corpus.entries)
         assert vad1.num_clips == 0
-        assert all("RuntimeError: scorer exploded" in e for e in vad1.errors)
+        assert all(f"{error.__name__}: scorer exploded" in e for e in vad1.errors)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError])
+    def test_a_program_error_propagates(self, corpus, monkeypatch, error, jobs):
+        # a fault of the program is no clip's error: it ends the evaluation
+        from vadpipe import pipeline
+
+        def broken(*args, **kwargs):
+            raise error("stage is broken")
+
+        monkeypatch.setattr(pipeline, "segment_values", broken)
+        with pytest.raises(error, match="stage is broken"):
+            run_eval(corpus, [PipelineConfig(mode="vad1", thresh=45.0)], jobs=jobs)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, corpus, jobs):

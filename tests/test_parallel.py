@@ -110,19 +110,24 @@ def test_whole_clip_score_is_bit_for_bit_at_any_thread_count(count):
 
 
 def test_noisy_clips_take_no_silence_scan_on_the_pool(monkeypatch):
-    # Whether to look for silent frames is settled once per clip on the
-    # calling thread: the baseline's row is tested there, and a noisy clip's
-    # row chunks on the pool make no call for it in any mode.
+    # Silence is looked for once per clip and mode, on the calling thread:
+    # the scorer scans the baseline's row, run_pipeline the vote modes'
+    # rows, and a noisy clip's row chunks on the pool make no call. vad2
+    # scans only where pre-processing keeps silence silent, which a noisy
+    # lead-in's floor beta * |N| prevents unless beta is 0.
     calls = []
     silent_frames = dsp.silent_frames
     monkeypatch.setattr(dsp, "silent_frames", lambda frames: (
         calls.append(threading.get_ident()) or silent_frames(frames)))
     parallel.set_threads(2)
     buf = noisy(int(4.13 * SR))
-    for mode in MODES:
+    cfgs = [PipelineConfig(mode=mode, thresh=THRESH) for mode in MODES]
+    cfgs.append(PipelineConfig(mode="vad2", thresh=THRESH, preprocess=PreprocessConfig(beta=0.0)))
+    for cfg in cfgs:
         calls.clear()
-        run_pipeline(buf, PipelineConfig(mode=mode, thresh=THRESH))
-        assert calls == ([threading.get_ident()] if mode == "baseline" else []), mode
+        run_pipeline(buf, cfg)
+        scans = 0 if cfg.mode == "vad2" and cfg.preprocess.beta else 1
+        assert calls == [threading.get_ident()] * scans, cfg
 
 
 def test_chunk_bounds_cover_in_order():
@@ -284,14 +289,14 @@ def test_eval_workers_get_their_share_of_the_cpus(monkeypatch, tmp_path, jobs, s
                                write_stems=False)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
 
-    def report_budget(path):
+    def report_budget(path):   # a declared clip error carries the budget out
         on_main = threading.current_thread() is threading.main_thread()
-        raise RuntimeError(f"threads={parallel.threads()} main={on_main}")
+        raise ValueError(f"threads={parallel.threads()} main={on_main}")
 
     monkeypatch.setattr(evaluate, "read_wav", report_budget)
     (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=jobs)
     assert len(report.errors) == 2
-    assert all(f"RuntimeError: threads={share} main=False" in e for e in report.errors)
+    assert all(f"ValueError: threads={share} main=False" in e for e in report.errors)
     assert parallel.threads() == 8   # the caller's own budget is untouched
 
 
@@ -317,7 +322,7 @@ def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
 
         seen = [s for chunk in parallel.map_chunks(outer, 8) for s in chunk]
         pooled = any(ident != clip_thread for ident, _ in seen)
-        raise RuntimeError(f"budgets={sorted({b for _, b in seen})} pooled={pooled} "
+        raise ValueError(f"budgets={sorted({b for _, b in seen})} pooled={pooled} "
                            f"chunks={len(seen)}")
 
     monkeypatch.setattr(evaluate, "run_pipeline", report_budgets)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+from vadpipe import parallel
 from vadpipe.aggregate import aggregate_score, decide_segment, segment_values
 from vadpipe.audio_io import MAX_SAMPLE_MAGNITUDE, AudioBuffer, ensure_rate
 from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
@@ -192,6 +193,29 @@ class TestSilentRows:
         assert len(silent) >= len(SILENT_ROWS)
         assert all((v == PLUS_ZERO) != silence_scores for v in silent)
         assert PLUS_ZERO not in [v for v, row in zip(got, rows) if row.any()]
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    @pytest.mark.parametrize("mode", ["vad1", "vad2"])
+    def test_a_silent_chunk_beside_a_chunk_without_silence(self, mode, count):
+        # On two threads the first row chunk is all silent and runs no
+        # block, and the second has no silent row; each chunk compacts its
+        # own rows, and the values are spread back once.
+        rng = np.random.default_rng(5)
+        clip = mix_at_snr(speech_surrogate(rng, 4.8), white_noise(rng, 4.8), 5.0)
+        rows = clip.samples.reshape(24, -1).copy()
+        rows[:12] = 0.0
+        rows[3:12:4] = -0.0
+        assert rows[12:].any(axis=-1).all()
+        assert parallel.chunk_bounds(24, 2) == [(0, 12), (12, 24)]
+        buf = make_buffer(rows.reshape(-1))
+        cfg = PipelineConfig(mode=mode)
+        want = values_row_by_row(buf, cfg)
+        assert want[:12] == [PLUS_ZERO] * 12 and PLUS_ZERO not in want[12:]
+        parallel.set_threads(count)
+        try:
+            assert [float.hex(v) for v in run_pipeline(buf, cfg).segment_values] == want
+        finally:
+            parallel.set_threads(None)
 
 
 # The pipeline's entry points take only 16 kHz audio with finite samples

@@ -5,7 +5,7 @@ import pytest
 
 from vadpipe import dsp
 from vadpipe.preprocess import (FFT_HOP, FFT_LEN, STAGE_NAMES, NoiseProfile, PreprocessConfig,
-                                clip_noise_profile, energy_gate, estimate_noise,
+                                clip_noise_profile, energy_gate, estimate_noise, keeps_silence,
                                 preprocess_rows_scratch, preprocess_segment, rms_normalize,
                                 spectral_subtract, subtract_magnitude)
 
@@ -405,14 +405,17 @@ class TestPreprocessSegment:
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_silence_stays_silent_exactly_when_the_floor_is_zero(self, stages, zero):
         # run_pipeline gives a row of zeros the value +0.0 unscored only
-        # under this condition: beta * |N| == 0 in every bin, or no subtraction
+        # where keeps_silence says the chain maps it to zeros
         silence = make_buffer(np.full(3200, zero))
+        kept = []
         for beta in (0.0, 0.3):
             for mags in (np.zeros(257), np.linspace(0.001, 0.05, 257)):
                 cfg = PreprocessConfig(beta=beta, stages=stages)
-                out = preprocess_segment(silence, cfg, NoiseProfile(mags))
-                silent = "spectral_subtract" not in stages or not np.any(beta * mags)
-                assert out.samples.any() != silent, (beta, mags[0])
+                noise = NoiseProfile(mags)
+                out = preprocess_segment(silence, cfg, noise)
+                kept.append(keeps_silence(cfg, noise))
+                assert out.samples.any() != kept[-1], (beta, mags[0])
+        assert all(kept) == ("spectral_subtract" not in stages)
 
     def test_a_nonzero_floor_lifts_silence(self):
         silence = make_buffer(np.zeros(3200))
