@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import resample_poly
 
 from . import parallel
 
@@ -196,6 +195,9 @@ def resample(buf: AudioBuffer, target_hz: int) -> AudioBuffer:
     MIN_RESAMPLE_CHUNK samples run as parallel chunks (parallel.map_chunks),
     each through resample_poly on the input slice that holds all its taps.
     """
+    # Imported here: scipy.signal takes ~1 s to load, and 16 kHz input never resamples.
+    from scipy.signal import resample_poly
+
     if target_hz <= 0:
         raise ValueError(f"target_hz must be positive, got {target_hz}")
     if len(buf) == 0:

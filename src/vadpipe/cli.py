@@ -18,8 +18,8 @@ from pathlib import Path
 
 from . import parallel
 from .audio_io import ensure_rate, read_wav
-from .evaluate import DEFAULT_TARGET_TPR, accuracy_table_markdown, run_eval
-from .pipeline import CLIP_ERRORS, MODES, PipelineConfig, run_pipeline, run_pipeline_on_scores
+from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, MODES, PipelineConfig, run_pipeline,
+                       run_pipeline_on_scores)
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
 from .scorer import ReferenceScorer, load_scores
@@ -227,6 +227,10 @@ def cmd_report(args, parser) -> int:
         manifest = read_manifest(args.manifest)
     except (OSError, ValueError) as exc:
         parser.error(str(exc))
+    # Imported here: evaluate loads scipy.signal, which detect, synth and
+    # --print-config never need.
+    from .evaluate import run_eval
+
     try:
         reports = run_eval(manifest, configs, out_dir=args.out, jobs=args.jobs,
                            tpr_targets=(args.target_tpr,))
@@ -239,6 +243,8 @@ def cmd_report(args, parser) -> int:
 
 
 def _print_eval(reports, args) -> int:
+    from .evaluate import accuracy_table_markdown
+
     sys.stdout.write(accuracy_table_markdown(reports))
     for report in reports:
         if report.roc is not None:

@@ -17,16 +17,23 @@ from typing import Sequence
 
 import numpy as np
 
+# Loaded with this module rather than on the first resample: eval corpora
+# are often not at the pipeline rate, and perfbench imports this module
+# before it times anything. detect and synth never import it (see cli).
+import scipy.signal  # noqa: F401
+
 from . import parallel
-from .audio_io import ensure_rate, read_wav
-from .pipeline import CLIP_ERRORS, PipelineConfig, PipelineResult, run_pipeline
+from .audio_io import AudioBuffer, ensure_rate, read_wav
+from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, PipelineConfig, PipelineResult,
+                       run_configs)
+# Unused here but kept importable from this module, where perfbench/tracing.py's
+# MODE_PATCHES wraps it.
+from .pipeline import run_pipeline  # noqa: F401
 from .postprocess import window_statistics
 from .synth import Manifest
 
 SPEECH_LABELS = ("clean_speech", "noisy_speech")
 CLASS_ORDER = ("non_speech", "clean_speech", "noisy_speech")
-# The TPR at which eval reads the FPR off the ROC curve.
-DEFAULT_TARGET_TPR = 0.99
 _CLASS_TITLES = {"non_speech": "Non-Speech", "clean_speech": "Clean Speech",
                  "noisy_speech": "Noisy Speech"}
 
@@ -110,22 +117,29 @@ def clip_statistic(segment_values: Sequence[float], cfg: PipelineConfig) -> floa
     return float(window_statistics(segment_values, cfg.vote).max())
 
 
-def _evaluate_clip(path: str, cfgs: Sequence[PipelineConfig]) -> list[PipelineResult | str]:
-    """Decode one clip once and run every config on it: per config, its
-    PipelineResult or its error message. A declared per-clip error
-    (pipeline.CLIP_ERRORS) becomes that clip's error, so one bad clip cannot
-    abort the whole evaluation; any other exception propagates.
-    """
-    def attempt(step):
-        try:
-            return step()
-        except CLIP_ERRORS as exc:
-            return f"{path}: {type(exc).__name__}: {exc}"
+def _decode(path: str) -> AudioBuffer | Exception:
+    """One clip as pipeline audio, or the declared error (CLIP_ERRORS) that
+    stopped its read or resample."""
+    try:
+        return ensure_rate(read_wav(path))
+    except CLIP_ERRORS as exc:
+        return exc
 
-    buf = attempt(lambda: ensure_rate(read_wav(path)))
-    if isinstance(buf, str):
-        return [buf] * len(cfgs)
-    return [attempt(lambda: run_pipeline(buf, cfg)) for cfg in cfgs]
+
+def _score_clip(path: str, buf: AudioBuffer | Exception, cfgs: Sequence[PipelineConfig],
+                meanwhile=None) -> list[PipelineResult | str]:
+    """Every config on one decoded clip (run_configs, which runs meanwhile()):
+    per config, its PipelineResult or its error message. A declared per-clip
+    error becomes that clip and config's error, so one bad clip cannot abort
+    the whole evaluation; any other exception propagates."""
+    if isinstance(buf, Exception):
+        results = [buf] * len(cfgs)
+        if meanwhile is not None:
+            meanwhile()
+    else:
+        results = run_configs(buf, cfgs, meanwhile)
+    return [f"{path}: {type(r).__name__}: {r}" if isinstance(r, Exception) else r
+            for r in results]
 
 
 def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
@@ -133,9 +147,12 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
              tpr_targets: Sequence[float] = (DEFAULT_TARGET_TPR,)) -> list[EvalReport]:
     """Score every manifest clip under every config and assemble reports.
 
-    Each clip is decoded once and scored under every config. At jobs = 1,
-    the only setting perfbench traces, the clips run one after another on
-    the calling thread; otherwise they run on jobs clip threads, each with
+    Each clip is decoded once, and every config's row chunks of it go to
+    the pool in one task list (pipeline.run_configs). At jobs = 1, the only
+    setting perfbench traces, the clips run one after another on the
+    calling thread, which decodes clip i + 1 (read_wav and ensure_rate)
+    while the pool scores clip i; a declared error in that decode is clip
+    i + 1's. Otherwise the clips run on jobs clip threads, each with
     max(1, cpus // jobs) chunk threads. The ROC sweep reuses the cached
     per-clip statistics. Output ordering and file bytes do not depend on jobs.
     """
@@ -149,12 +166,18 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
                          "with the reference scorer")
     paths = [str(manifest.resolve(e)) for e in manifest.entries]
     if jobs == 1:
-        per_clip = [_evaluate_clip(p, configs) for p in paths]
+        per_clip, ahead = [], [_decode(paths[0])]
+        for i, path in enumerate(paths):
+            buf = ahead.pop()
+            last = i + 1 == len(paths)
+            decode_next = None if last else (lambda: ahead.append(_decode(paths[i + 1])))
+            per_clip.append(_score_clip(path, buf, configs, decode_next))
     else:
         share = max(1, parallel.threads() // jobs)
         with ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="vadpipe-clip",
                                 initializer=parallel.set_threads, initargs=(share,)) as pool:
-            per_clip = list(pool.map(_evaluate_clip, paths, [configs] * len(paths)))
+            per_clip = list(pool.map(lambda path: _score_clip(path, _decode(path), configs),
+                                     paths))
 
     reports = []
     for i, cfg in enumerate(configs):

@@ -1,20 +1,24 @@
-"""One clip's work as contiguous chunks on a shared thread pool.
+"""A clip's work as tasks on a shared thread pool: map_tasks is the one protocol.
 
-numpy's FFTs and ufunc loops release the GIL, so the chunks of one clip run
-on separate CPUs. A chunk function does array work only: whatever it needs
-from elsewhere in the package (a filterbank, a noise profile) is resolved
-by the caller first, and the results come back in chunk order, so the
-outcome does not depend on the thread count. Each thread has its own chunk
-budget (set_threads), and its chunks run on the pool under that budget:
-`eval --jobs N` runs N clip threads, each with max(1, cpus // N) chunk
-threads. At `--jobs 1`, the only setting perfbench traces, every function
-its tracer wraps runs on the calling thread.
+numpy's FFTs and ufunc loops release the GIL, so the tasks of one clip run
+on separate CPUs. A task does array work only: whatever it needs from
+elsewhere in the package (a filterbank, a noise profile) is resolved by the
+caller first, and the results come back in task order, so the outcome does
+not depend on the thread count. map_chunks is the case of contiguous
+chunks of one range; run_pipeline hands every config's row chunks of a
+clip to one map_tasks call, and eval decodes the next clip meanwhile. Each
+thread has its own chunk budget (set_threads), and its tasks run on the
+pool under that budget: `eval --jobs N` runs N clip threads, each with
+max(1, cpus // N) chunk threads. At `--jobs 1`, the only setting perfbench
+traces, every function its tracer wraps runs on the calling thread.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 _local = threading.local()   # .budget: set_threads; unset or None means every usable CPU
@@ -65,35 +69,72 @@ def chunk_bounds(count: int, parts: int) -> list[tuple[int, int]]:
     return [(count * i // parts, count * (i + 1) // parts) for i in range(parts)]
 
 
+def chunk_tasks(fn, count: int, min_chunk: int = 1) -> list:
+    """fn(start, stop) for each chunk of range(count), as map_tasks tasks: one
+    chunk per thread of the caller's budget, each at least min_chunk long."""
+    parts = max(1, min(count // min_chunk, threads()))
+    return [functools.partial(fn, *b) for b in chunk_bounds(count, parts)]
+
+
 def map_chunks(fn, count: int, min_chunk: int = 1) -> list:
-    """[fn(start, stop) for each chunk of range(count)], one chunk per
-    thread of the caller's budget, each at least min_chunk long.
+    """[fn(start, stop) for each chunk of range(count)]: map_tasks over
+    chunk_tasks. The first chunk goes at the back of the task list, so the
+    calling thread runs it at once and the pool threads start on the rest."""
+    tasks = chunk_tasks(fn, count, min_chunk)
+    results = map_tasks(tasks[1:] + tasks[:1])
+    return results[-1:] + results[:-1]
 
-    The calling thread runs the first chunk itself and the pool the rest,
-    each under the caller's budget; a chunk no pool thread has started by
-    the time the caller is done, as when the host has not yet run that
-    thread, the caller runs as well. With one chunk, fn(0, count) runs
-    inline. fn may call map_chunks in turn (a pool thread scoring a long row
-    splits its frames): nesting cannot deadlock, because a caller waits only
-    on chunks that have started, and runs the unstarted ones itself.
+
+def map_tasks(tasks, meanwhile=None) -> list:
+    """[task() for task in tasks], on the pool and the calling thread, with
+    meanwhile() run on the calling thread first when it is given.
+
+    Pool threads, as many as the caller's budget allows beside the caller,
+    take tasks from the front of the list, each under the caller's budget.
+    The caller claims its first piece of work before any of them starts
+    (meanwhile, else the last task), then takes the tasks no pool thread has
+    started from the back, as when the host has not yet run a pool thread.
+    With no pool thread to spare, everything runs inline. A task may call
+    map_tasks in turn (a pool thread scoring a long row splits its frames):
+    nesting cannot deadlock, because a caller waits only on tasks that have
+    started, and runs the unstarted ones itself. A task that raises stops
+    the hand-out; its exception propagates once every started task is done,
+    so none outlives the arrays it works on.
     """
+    todo = deque(enumerate(tasks))
+    count = len(todo)
     budget = threads()
-    parts = min(count // min_chunk, budget)
-    if parts <= 1:
-        return [fn(0, count)]
+    workers = min(budget - 1, count - (meanwhile is None))
+    if workers < 1:
+        if meanwhile is not None:
+            meanwhile()
+        return [task() for _, task in todo]
+    results, errors = {}, []
 
-    def pooled(start: int, stop: int):   # a pool thread takes on the caller's budget
+    def run(i: int, task) -> None:
+        try:
+            results[i] = task()
+        except BaseException as exc:
+            errors.append(exc)
+
+    def drain(take) -> None:
+        while todo and not errors:
+            try:
+                i, task = take()
+            except IndexError:   # another thread took the last task; pops are atomic
+                return
+            run(i, task)
+
+    def pooled() -> None:   # a pool thread takes on the caller's budget
         _local.budget = budget
-        return fn(start, stop)
+        drain(todo.popleft)
 
-    bounds = chunk_bounds(count, parts)
-    futures = [_pool_with(parts - 1).submit(pooled, *b) for b in bounds[1:]]
-    try:
-        results = {0: fn(*bounds[0])}
-        for i in reversed(range(1, parts)):   # the last submitted is the least likely started
-            if futures[i - 1].cancel():
-                results[i] = fn(*bounds[i])
-    except BaseException:
-        wait([f for f in futures if not f.cancel()])   # none outlives its arrays
-        raise
-    return [results[i] if i in results else futures[i - 1].result() for i in range(parts)]
+    first = todo.pop() if meanwhile is None else (count, meanwhile)
+    pool = _pool_with(workers)
+    futures = [pool.submit(pooled) for _ in range(workers)]
+    run(*first)
+    drain(todo.pop)
+    wait([f for f in futures if not f.cancel()])
+    if errors:
+        raise errors[0]
+    return [results[i] for i in range(count)]

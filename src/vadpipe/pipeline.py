@@ -5,16 +5,18 @@ one decision over the whole clip, `vad1` adds per-segment decisions with
 sliding-window voting, and `vad2` additionally runs the noise-removal
 preprocessing on every segment. A clip's segments travel as one zero-padded
 (T, seg_len) array through pre-processing and scoring, split into one
-contiguous chunk of rows per CPU (`parallel.map_chunks`), and each chunk
+contiguous chunk of rows per CPU (`parallel.chunk_tasks`), and each chunk
 also reduces its rows' scores to their segment values; the results are the
-same as running each segment on its own, on any number of CPUs. In the vote
-modes a segment of digital silence (dsp.silent_frames) gets the value +0.0,
-which the chain would give it, without running it, whenever pre-processing
-keeps silence silent (preprocess.keeps_silence): each chunk runs only its
-other rows, and dsp.spread puts the values back. The baseline's clip is the
-one-row case, a (1, n) array, whose silent frames the scorer skips instead
-(ReferenceScorer.score_rows); a row of at least 2 * scorer.MIN_CHUNK_FRAMES
-frames also splits its frames across CPUs.
+same as running each segment on its own, on any number of CPUs.
+run_configs runs one clip under several configs, with every config's
+chunks in one `parallel.map_tasks` call; run_pipeline is its one-config
+case. In the vote modes a segment of digital silence (dsp.silent_frames)
+gets the value +0.0, which the chain would give it, without running it,
+whenever pre-processing keeps silence silent (preprocess.keeps_silence):
+each chunk runs only its other rows, and dsp.spread puts the values back.
+The baseline's clip is the one-row case, a (1, n) array, whose silent
+frames the scorer skips instead (ReferenceScorer.score_rows); a row of at
+least 2 * scorer.MIN_CHUNK_FRAMES frames also splits its frames across CPUs.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ SCORER_BACKENDS = ("reference", "score-file")
 # The errors `detect` and `eval` report against one clip before going on;
 # any other exception is a fault of the program and propagates.
 CLIP_ERRORS = (OSError, ValueError, MemoryError)
+# The TPR at which eval reads the FPR off the ROC curve. Kept here, not in
+# evaluate, so that cli reads it without loading scipy.
+DEFAULT_TARGET_TPR = 0.99
 # Each thread's chunk of rows runs through pre-processing and scoring at most
 # this many rows at a time. Rows are independent, so the block size changes
 # no result. It bounds each stage's temporaries to ~2.3 MB for 200 ms rows at
@@ -138,12 +143,19 @@ def _decide(values: np.ndarray, cfg: PipelineConfig) -> PipelineResult:
                           values.tolist())
 
 
-def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
-    """Detect speech in one clip of pipeline audio (see require_pipeline_audio);
-    the baseline's one row is the whole clip, a segment that is its own vote.
-    In the vote modes, a segment of digital silence gets the value +0.0
-    unscored whenever pre-processing keeps silence silent (keeps_silence)."""
-    require_pipeline_audio(buf)
+def _attempt(step, *args):
+    """step(*args), or the declared per-clip error (CLIP_ERRORS) it raised."""
+    try:
+        return step(*args)
+    except CLIP_ERRORS as exc:
+        return exc
+
+
+def _plan(buf: AudioBuffer, cfg: PipelineConfig):
+    """One config's head, on the calling thread: its row chunks as tasks for
+    parallel.map_tasks, and the function that decides the clip from their
+    values. A task returns its declared error rather than raise it, so that
+    it ends this config only."""
     scorer = cfg.scoring
     rows = segment_rows(buf, cfg.segment_ms) if cfg.vote_enabled else buf.samples[None]
     # Looked up here: the chunks run on pool threads, which must not call
@@ -166,8 +178,49 @@ def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
             values.append(segment_values(scorer.score_rows(block, filterbank)))
         return values
 
-    values = [v for chunk in parallel.map_chunks(value_chunk, len(rows)) for v in chunk]
-    return _decide(dsp.spread(np.concatenate(values), silent), cfg)
+    def decide(chunks: list[list[np.ndarray]]) -> PipelineResult:
+        return _decide(dsp.spread(np.concatenate([v for c in chunks for v in c]), silent), cfg)
+
+    tasks = parallel.chunk_tasks(lambda start, stop: _attempt(value_chunk, start, stop), len(rows))
+    return tasks, decide
+
+
+def run_configs(buf: AudioBuffer, cfgs, meanwhile=None) -> list[PipelineResult | Exception]:
+    """Detect speech in one clip of pipeline audio (see require_pipeline_audio)
+    under each config: per config, its PipelineResult or the declared error
+    (CLIP_ERRORS) that ended it. Any other exception propagates.
+
+    The calling thread checks the audio once and runs each config's head
+    (_plan): segment_rows, the noise profile and the silence scan. Every
+    config's row chunks then go to the pool in one parallel.map_tasks call,
+    which runs meanwhile() on the calling thread (eval decodes the next clip
+    there), and the calling thread decides each config from its values.
+    """
+    checked = _attempt(require_pipeline_audio, buf)
+    plans = [checked or _attempt(_plan, buf, cfg) for cfg in cfgs]
+    live = [plan for plan in plans if not isinstance(plan, Exception)]
+    values = iter(parallel.map_tasks([task for tasks, _ in live for task in tasks], meanwhile))
+    results = []
+    for plan in plans:
+        if not isinstance(plan, Exception):
+            tasks, decide = plan
+            chunks = [next(values) for _ in tasks]
+            errors = [chunk for chunk in chunks if isinstance(chunk, Exception)]
+            plan = errors[0] if errors else _attempt(decide, chunks)
+        results.append(plan)
+    return results
+
+
+def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:
+    """Detect speech in one clip of pipeline audio: run_configs' one-config
+    case, raising its declared error. The baseline's one row is the whole
+    clip, a segment that is its own vote. In the vote modes, a segment of
+    digital silence gets the value +0.0 unscored whenever pre-processing
+    keeps silence silent (keeps_silence)."""
+    (result,) = run_configs(buf, [cfg])
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def run_pipeline_on_scores(matrix: FrameScoreMatrix,

@@ -112,6 +112,28 @@ class TestSynthCommand:
         assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
+def test_detect_synth_and_print_config_never_load_scipy(tmp_path):
+    # scipy.signal is ~1 s of a detect process's start-up, and only
+    # resampling uses it: 16 kHz detect, synth and --print-config must not
+    # load it. eval loads it with vadpipe.evaluate.
+    script = f"""
+import sys
+from vadpipe.cli import main
+out = {str(tmp_path / "c")!r}
+assert main(["synth", "--clips", "3", "--seed", "2", "--duration", "1.0", "--out", out]) == 0
+assert main(["detect", "--mode", "vad2", out + "/clean_0000.wav"]) == 0
+assert main(["detect", "--mode", "vad1", "--print-config"]) == 0
+assert main(["eval", "--mode", "vad1", "--manifest", out + "/manifest.tsv", "--print-config"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+from vadpipe import evaluate
+print("scipy.signal" in sys.modules)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
+
+
 class TestDetectCommand:
     def test_silence_is_not_speech(self, tmp_path, capsys):
         wav = tmp_path / "sil.wav"
@@ -341,7 +363,7 @@ class TestRocCommand:
         def no_eval(*args, **kwargs):
             raise AssertionError("evaluation ran")
 
-        monkeypatch.setattr("vadpipe.cli.run_eval", no_eval)
+        monkeypatch.setattr("vadpipe.evaluate.run_eval", no_eval)
         assert main(["roc", "--manifest", str(corpus_dir / "manifest.tsv"),
                      "--target-tpr", value]) == 2
         captured = capsys.readouterr()

@@ -2,11 +2,13 @@
 import numpy as np
 import pytest
 
+from vadpipe import evaluate, parallel
+from vadpipe.audio_io import ensure_rate, read_wav
 from vadpipe.evaluate import (class_accuracy, clip_statistic, fpr_at_tpr,
                               roc_sweep, run_eval)
-from vadpipe.pipeline import CLIP_ERRORS, PipelineConfig
+from vadpipe.pipeline import CLIP_ERRORS, MODES, PipelineConfig, run_pipeline
 from vadpipe.postprocess import final_decision, vote_with_fallback
-from vadpipe.synth import generate_corpus
+from vadpipe.synth import Manifest, ManifestEntry, generate_corpus
 
 
 def mann_whitney_auc(scores):
@@ -211,20 +213,18 @@ class TestRunEval:
 
     @pytest.mark.parametrize("error", CLIP_ERRORS)
     def test_a_declared_error_is_a_clip_error(self, corpus, monkeypatch, error):
-        from vadpipe import evaluate
-        real = evaluate.run_pipeline
+        # only the vote modes segment the clip: the baseline scores it whole
+        from vadpipe import pipeline
 
-        def flaky(buf, cfg):
-            if cfg.mode == "vad1":
-                raise error("scorer exploded")
-            return real(buf, cfg)
+        def flaky(buf, segment_ms):
+            raise error("segmenting exploded")
 
-        monkeypatch.setattr(evaluate, "run_pipeline", flaky)
+        monkeypatch.setattr(pipeline, "segment_rows", flaky)
         configs = [PipelineConfig(mode=m, thresh=45.0) for m in ("baseline", "vad1")]
         baseline, vad1 = run_eval(corpus, configs)
         assert baseline.errors == () and baseline.num_clips == len(corpus.entries)
         assert vad1.num_clips == 0
-        assert all(f"{error.__name__}: scorer exploded" in e for e in vad1.errors)
+        assert all(f"{error.__name__}: segmenting exploded" in e for e in vad1.errors)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("error", [TypeError, RuntimeError])
@@ -252,3 +252,83 @@ class TestRunEval:
         from vadpipe.synth import Manifest
         with pytest.raises(ValueError):
             run_eval(Manifest((), tmp_path), [PipelineConfig()])
+
+
+def outcome(result) -> tuple:
+    d = result.decision
+    return np.array(result.segment_values).tobytes(), d.per_segment, d.per_window, d.final
+
+
+@pytest.fixture(scope="module")
+def corpus48(tmp_path_factory):
+    # 48 kHz, so each clip resamples; a clean clip opens with digital silence
+    root = tmp_path_factory.mktemp("corpus48")
+    manifest = generate_corpus(root, (2, 2, 2), snr_list=(0.0, 10.0), seed=8,
+                               duration_s=1.5, sample_rate_hz=48000, write_stems=False)
+    clean = read_wav(manifest.resolve(manifest.entries[0]))
+    assert manifest.entries[0].label == "clean_speech" and not clean.samples[:4800].any()
+    return manifest
+
+
+SCORE_CLIP = evaluate._score_clip
+
+
+def eval_outcomes(monkeypatch, manifest, jobs):
+    """run_eval's reports, and per clip path each config's outcome or error."""
+    seen = {}
+
+    def recording(path, buf, cfgs, meanwhile=None):
+        results = SCORE_CLIP(path, buf, cfgs, meanwhile)
+        seen[path] = [r if isinstance(r, str) else outcome(r) for r in results]
+        return results
+
+    monkeypatch.setattr(evaluate, "_score_clip", recording)
+    cfgs = [PipelineConfig(mode=m, thresh=45.0) for m in MODES]
+    return run_eval(manifest, cfgs, jobs=jobs), seen
+
+
+class TestOneTaskListPerClip:
+    """eval hands every config's row chunks of a clip to the pool at once and,
+    at jobs = 1, decodes the next clip meanwhile."""
+
+    @pytest.fixture(autouse=True)
+    def reset_threads(self):
+        yield
+        parallel.set_threads(None)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_clip_and_config_as_run_pipeline_gives_it(self, corpus48, monkeypatch,
+                                                           jobs, threads):
+        parallel.set_threads(1)
+        want = {}
+        for entry in corpus48.entries:
+            path = str(corpus48.resolve(entry))
+            buf = ensure_rate(read_wav(path))
+            want[path] = [outcome(run_pipeline(buf, PipelineConfig(mode=m, thresh=45.0)))
+                          for m in MODES]
+        parallel.set_threads(threads)
+        reports, seen = eval_outcomes(monkeypatch, corpus48, jobs)
+        assert seen == want
+        assert all(r.errors == () and r.num_clips == len(want) for r in reports)
+
+    @pytest.mark.parametrize("kind", ["missing", "corrupt"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_a_bad_clip_is_its_own_error_only(self, corpus48, monkeypatch, tmp_path, kind,
+                                              where):
+        parallel.set_threads(2)
+        good, seen_good = eval_outcomes(monkeypatch, corpus48, jobs=1)
+        bad_path = tmp_path / f"{kind}.wav"
+        if kind == "corrupt":
+            bad_path.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        entries = list(corpus48.entries)
+        at = {"first": 0, "middle": len(entries) // 2, "last": len(entries)}[where]
+        entries.insert(at, ManifestEntry(str(bad_path), "non_speech", None, 1.5))
+        reports, seen = eval_outcomes(monkeypatch, Manifest(tuple(entries), corpus48.root),
+                                      jobs=1)
+        bad = seen.pop(str(bad_path))
+        assert len(set(bad)) == 1 and bad[0].startswith(f"{bad_path}: ")
+        assert seen == seen_good
+        for report, clean in zip(reports, good):
+            assert report.errors == (bad[0],)
+            assert (report.num_clips, report.roc) == (clean.num_clips, clean.roc)

@@ -156,6 +156,46 @@ def test_map_chunks_joins_in_order_and_propagates_errors():
         parallel.map_chunks(fail_late, 9)
 
 
+def test_map_tasks_runs_meanwhile_on_the_caller_and_joins_in_order():
+    caller = threading.get_ident()
+    for budget in (1, 2, 3):
+        parallel.set_threads(budget)
+        ran = []
+        tasks = [lambda i=i: (time.sleep(0.01), i)[1] for i in range(7)]
+        assert parallel.map_tasks(tasks, meanwhile=lambda: ran.append(threading.get_ident())) \
+            == list(range(7))
+        assert ran == [caller]
+        assert parallel.map_tasks([]) == []
+        assert parallel.map_tasks([lambda: 5]) == [5]
+
+
+def test_map_tasks_raises_after_every_started_task_has_finished():
+    parallel.set_threads(2)
+    started, finished, unstarted = threading.Event(), threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.3)
+        finished.set()
+
+    def fail():
+        raise TypeError("task failed")
+
+    # The pool thread starts the slow first task, and meanwhile waits for
+    # that; the caller then takes the failing last task from the back. The
+    # error propagates once the slow task is done, and the task between
+    # them, which nobody started, never runs.
+    with pytest.raises(TypeError, match="task failed"):
+        parallel.map_tasks([slow, lambda: unstarted.append(1), fail],
+                           meanwhile=lambda: started.wait(10))
+    assert finished.is_set() and unstarted == []
+    # a failing pool task: the caller's own task still runs to its end
+    finished.clear()
+    with pytest.raises(TypeError, match="task failed"):
+        parallel.map_tasks([fail, slow])
+    assert finished.is_set()
+
+
 def _nested(fail: bool):
     def outer(lo, hi):
         if lo == 0:  # a pool thread has time to start the other outer chunk
@@ -270,12 +310,15 @@ def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     # perfbench's replay calls score, whose 228 frames split across the
     # threads, and decide_segment on its matrix
     aggregate.decide_segment(scorer.ReferenceScorer().score(buf), THRESH)
+    # eval at --jobs 1 decodes and resamples each next 48 kHz clip while the
+    # pool scores the one before
     manifest = generate_corpus(tmp_path, (1, 1, 1), (5.0,), seed=3, duration_s=1.0,
-                               write_stems=False)
+                               sample_rate_hz=48000, write_stems=False)
     evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])
 
     assert {"scorer.mel_filterbank", "scorer.score", "aggregate.decide_segment",
-            "preprocess.clip_noise_profile", "dsp.stft", "pipeline.run_pipeline"} <= set(calls)
+            "preprocess.clip_noise_profile", "dsp.stft", "pipeline.run_pipeline",
+            "audio_io.read_wav", "audio_io.ensure_rate", "audio_io.resample"} <= set(calls)
     main = threading.get_ident()
     assert {name: ids for name, ids in calls.items() if ids != {main}} == {}
 
@@ -311,7 +354,7 @@ def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
     monkeypatch.setattr(parallel, "_pool", None)
     monkeypatch.setattr(parallel, "_pool_size", 0)
 
-    def report_budgets(buf, cfg):
+    def report_budgets(buf, cfgs, meanwhile=None):
         clip_thread = threading.get_ident()
 
         def outer(lo, hi):
@@ -322,10 +365,10 @@ def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
 
         seen = [s for chunk in parallel.map_chunks(outer, 8) for s in chunk]
         pooled = any(ident != clip_thread for ident, _ in seen)
-        raise ValueError(f"budgets={sorted({b for _, b in seen})} pooled={pooled} "
-                           f"chunks={len(seen)}")
+        return [ValueError(f"budgets={sorted({b for _, b in seen})} pooled={pooled} "
+                           f"chunks={len(seen)}")] * len(cfgs)
 
-    monkeypatch.setattr(evaluate, "run_pipeline", report_budgets)
+    monkeypatch.setattr(evaluate, "run_configs", report_budgets)
     (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=2)
     assert len(report.errors) == 2
     assert all("budgets=[4] pooled=True chunks=20" in e for e in report.errors), report.errors

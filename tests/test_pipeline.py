@@ -1,16 +1,17 @@
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
-from vadpipe import parallel
+from vadpipe import parallel, pipeline
 from vadpipe.aggregate import aggregate_score, decide_segment, segment_values
 from vadpipe.audio_io import MAX_SAMPLE_MAGNITUDE, AudioBuffer, ensure_rate
 from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
                                 preprocess_rows_scratch, preprocess_segment, rms_normalize,
                                 spectral_subtract)
-from vadpipe.pipeline import (MAX_SEGMENT_MS, PipelineConfig, run_pipeline,
-                              run_pipeline_on_scores, segment, segment_rows)
+from vadpipe.pipeline import (CLIP_ERRORS, MAX_SEGMENT_MS, MODES, PipelineConfig, run_configs,
+                              run_pipeline, run_pipeline_on_scores, segment, segment_rows)
 from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
                             slice_scores)
 from vadpipe.synth import (NOISE_KINDS, make_noise, mix_at_snr, speech_surrogate,
@@ -294,7 +295,7 @@ def test_samples_at_the_bound_run_without_overflow(mode, rng):
     assert np.all(np.isfinite(scores))
 
 
-# Label invariance under gain (ROADMAP item 4, the log floor): RMS
+# Label invariance under gain (ROADMAP item 5, the log floor): RMS
 # normalization and the scorer's per-band percentile floor cancel a gain,
 # except where band energies come near the scorer's absolute _LOG_FLOOR
 # (1e-10). Band-limited signals reach it: babble's upper mel bands have
@@ -462,3 +463,82 @@ class TestPipelineConfig:
         assert PipelineConfig(mode="vad1").vote_enabled
         assert PipelineConfig(mode="vad2").preprocess_enabled
         assert PipelineConfig(mode="vad2").vote_enabled
+
+
+def _outcome(result) -> tuple:
+    d = result.decision
+    return np.array(result.segment_values).tobytes(), d.per_segment, d.per_window, d.final
+
+
+class TestRunConfigs:
+    """One clip under several configs: every config's row chunks go to the
+    pool in one task list, and a declared error ends its own config only."""
+
+    CFGS = [PipelineConfig(mode=m, thresh=45.9) for m in MODES]
+
+    @pytest.fixture(autouse=True)
+    def two_threads(self):
+        parallel.set_threads(2)
+        yield
+        parallel.set_threads(None)
+
+    @pytest.fixture(scope="class")
+    def clip(self):
+        rng = np.random.default_rng(5)
+        return mix_at_snr(speech_surrogate(rng, 2.3), white_noise(rng, 2.3), 5.0)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_config_gets_what_run_pipeline_gives_it(self, clip, threads):
+        parallel.set_threads(1)
+        want = [_outcome(run_pipeline(clip, cfg)) for cfg in self.CFGS]
+        parallel.set_threads(threads)
+        ran = []
+        got = run_configs(clip, self.CFGS, meanwhile=lambda: ran.append(threading.get_ident()))
+        assert [_outcome(r) for r in got] == want
+        assert ran == [threading.get_ident()]
+
+    @pytest.mark.parametrize("error", CLIP_ERRORS)
+    def test_a_declared_error_in_a_pool_task_ends_its_config_only(self, clip, monkeypatch,
+                                                                 error):
+        # pre-processing runs in vad2's row chunks only
+        want = [_outcome(run_pipeline(clip, cfg)) for cfg in self.CFGS[:2]]
+
+        def broken(*args, **kwargs):
+            raise error("pre-processing failed")
+
+        monkeypatch.setattr(pipeline, "preprocess_rows_scratch", broken)
+        baseline, vad1, vad2 = run_configs(clip, self.CFGS)
+        assert [_outcome(baseline), _outcome(vad1)] == want
+        assert isinstance(vad2, error) and str(vad2) == "pre-processing failed"
+        with pytest.raises(error, match="pre-processing failed"):
+            run_pipeline(clip, self.CFGS[2])
+
+    def test_a_declared_error_in_a_head_ends_its_config_only(self, clip, monkeypatch):
+        # only vad2's head estimates a noise profile, on the calling thread
+        want = [_outcome(run_pipeline(clip, cfg)) for cfg in self.CFGS[:2]]
+        caller = threading.get_ident()
+
+        def broken(buf, cfg):
+            on_caller = threading.get_ident() == caller
+            raise ValueError(f"noise profile failed on the caller: {on_caller}")
+
+        monkeypatch.setattr(pipeline, "clip_noise_profile", broken)
+        baseline, vad1, vad2 = run_configs(clip, self.CFGS)
+        assert [_outcome(baseline), _outcome(vad1)] == want
+        assert isinstance(vad2, ValueError) and str(vad2).endswith("caller: True")
+
+    def test_bad_audio_is_every_configs_error_and_meanwhile_still_runs(self):
+        ran = []
+        results = run_configs(make_buffer(np.array([0.0, np.nan] * 4000)), self.CFGS,
+                              meanwhile=lambda: ran.append(threading.get_ident()))
+        assert [str(r) for r in results] == ["audio samples must be finite"] * 3
+        assert ran == [threading.get_ident()]
+
+    @pytest.mark.parametrize("error", [TypeError, RuntimeError])
+    def test_a_program_error_in_a_pool_task_propagates(self, clip, monkeypatch, error):
+        def broken(*args, **kwargs):
+            raise error("stage is broken")
+
+        monkeypatch.setattr(pipeline, "preprocess_rows_scratch", broken)
+        with pytest.raises(error, match="stage is broken"):
+            run_configs(clip, self.CFGS)
