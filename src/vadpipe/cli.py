@@ -23,7 +23,7 @@ from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, MODES, PipelineConfig, r
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
 from .scorer import ReferenceScorer, load_scores
-from .synth import DEFAULT_DURATION_S, DEFAULT_SNRS_DB, generate_corpus, read_manifest
+from .synth import DEFAULT_DURATION_S, DEFAULT_SEED, DEFAULT_SNRS_DB, generate_corpus, read_manifest
 
 
 def _show_float(x: float) -> str:
@@ -286,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="total clip count, split across the three classes")
     p_synth.add_argument("--snr", default=",".join(f"{s:g}" for s in DEFAULT_SNRS_DB),
                          help="comma-separated SNR levels in dB for noisy clips")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_synth.add_argument("--duration", type=float, default=DEFAULT_DURATION_S, help="clip seconds")
     p_synth.add_argument("--no-stems", action="store_true",
                          help="skip writing clean/noise stems for noisy clips")

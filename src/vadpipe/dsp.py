@@ -26,7 +26,7 @@ import numpy as np
 from .audio_io import PIPELINE_RATE_HZ, AudioBuffer
 
 _DENOM_FLOOR = 1e-12
-# stft's Hann geometry, which spectral subtraction and its noise estimate use.
+# stft's fixed Hann geometry, which spectral subtraction and its noise estimate use.
 FFT_LEN = 512
 FFT_HOP = 128
 # Scratch requests up to this size are kept for reuse; larger ones, such as
@@ -210,15 +210,11 @@ def rfft_frames(frames: np.ndarray, fft_len: int, window: np.ndarray,
     return np.fft.rfft(windowed, axis=-1, out=out)
 
 
-def stft(buf: AudioBuffer, fft_len: int = FFT_LEN, hop: int = FFT_HOP) -> Stft:
-    """Forward STFT over zero-padded frames of the input; fft_len must be a
-    power of two that hop divides."""
-    if fft_len <= 0 or fft_len & (fft_len - 1):
-        raise ValueError(f"fft_len must be a power of two, got {fft_len}")
-    if hop <= 0 or fft_len % hop:
-        raise ValueError(f"hop {hop} must be positive and divide fft_len {fft_len}")
-    frames = frame_rows(buf.samples, fft_len, hop, key="stft.grid")
-    return Stft(rfft_frames(frames, fft_len, analysis_window(fft_len)), fft_len, hop)
+def stft(buf: AudioBuffer) -> Stft:
+    """Forward STFT over zero-padded frames of the input, at the fixed
+    FFT_LEN / FFT_HOP geometry."""
+    frames = frame_rows(buf.samples, FFT_LEN, FFT_HOP, key="stft.grid")
+    return Stft(rfft_frames(frames, FFT_LEN, analysis_window(FFT_LEN)), FFT_LEN, FFT_HOP)
 
 
 def _shifted_add(acc: np.ndarray, frames: np.ndarray, hop: int) -> np.ndarray:

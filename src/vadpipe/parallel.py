@@ -5,7 +5,7 @@ on separate CPUs. A task does array work only: whatever it needs from
 elsewhere in the package (a filterbank, a noise profile) is resolved by the
 caller first, and the results come back in task order, so the outcome does
 not depend on the thread count. map_chunks is the case of contiguous
-chunks of one range; run_pipeline hands every config's row chunks of a
+chunks of one range; run_configs hands every config's row chunks of a
 clip to one map_tasks call, and eval decodes the next clip meanwhile. Each
 thread has its own chunk budget (set_threads), and its tasks run on the
 pool under that budget: `eval --jobs N` runs N clip threads, each with

@@ -34,7 +34,7 @@ from .preprocess import (PreprocessConfig, clip_noise_profile, keeps_silence,
                          preprocess_rows_scratch, require_finite)
 from .scorer import FrameScoreMatrix, ReferenceScorer, slice_scores
 # Unused here but kept importable from this module, where perfbench/tracing.py's
-# PATCHES wraps each of them; ROADMAP item 1 step B retires PATCHES and deletes them.
+# PATCHES wraps each of them; ROADMAP item 4 retires PATCHES and deletes them.
 from .aggregate import decide_segment  # noqa: F401
 from .postprocess import final_decision, vote_with_fallback  # noqa: F401
 from .preprocess import preprocess_segment  # noqa: F401

@@ -8,10 +8,12 @@ exactly 1: spectral subtraction then runs the STFT pair alone, and its
 frames of digital silence skip both transforms (dsp.silent_frames,
 dsp.spread), with the full path's output bits.
 
-Every stage runs row by row over a (T, n) array of segments; the
-AudioBuffer functions are its T = 1 case. Inside the chain
-(`preprocess_rows_scratch`) each stage writes its output to the thread's
-scratch store (`dsp.scratch`); the public functions return copies.
+`STAGES` is the one table of stages: it maps each stage name to a row
+function that runs over a (T, n) array of segments and writes its output
+to the thread's scratch store (`dsp.scratch`). The chain
+(`preprocess_rows_scratch`) runs cfg.stages through it; the AudioBuffer
+functions (spectral_subtract, energy_gate, rms_normalize,
+preprocess_segment) are its T = 1 case and return copies.
 """
 
 from __future__ import annotations
@@ -178,11 +180,10 @@ def spectral_subtract(buf: AudioBuffer, cfg: PreprocessConfig,
     require_pipeline_audio(buf)
     if noise is None:
         noise = clip_noise_profile(buf, cfg)
-    out = _spectral_subtract(buf.samples[None], cfg, noise)[0]
-    return AudioBuffer(out.copy(), buf.sample_rate_hz)
+    return _one_row(_spectral_subtract, buf, cfg, noise)
 
 
-def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
+def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig, noise=None) -> np.ndarray:
     # dsp.overlap_add with the gate folded in: a gated frame's weighted
     # samples are 0.0, which is what weighting its zeroed samples gives.
     frames = dsp.frame_rows(rows, GATE_FRAME_LEN, GATE_HOP, key="energy_gate.grid")
@@ -200,16 +201,16 @@ def _energy_gate(rows: np.ndarray, cfg: PreprocessConfig) -> np.ndarray:
 def energy_gate(buf: AudioBuffer, cfg: PreprocessConfig) -> AudioBuffer:
     """Zero frames whose energy falls below the threshold, then overlap-add."""
     require_pipeline_audio(buf)
-    return AudioBuffer(_energy_gate(buf.samples, cfg).copy(), buf.sample_rate_hz)
+    return _one_row(_energy_gate, buf, cfg)
 
 
-def _rms_normalize(rows: np.ndarray, target: float) -> np.ndarray:
+def _rms_normalize(rows: np.ndarray, cfg: PreprocessConfig, noise=None) -> np.ndarray:
     # Rows below the silence floor get scale 1; their samples are far inside
     # [-1, 1], so the clip leaves them as they are.
     squares = np.square(rows, out=dsp.scratch("rms_normalize.squares", rows.shape))
     rms = np.sqrt(np.mean(squares, axis=-1, keepdims=True))
     scale = np.where(rms < SILENCE_RMS_FLOOR, 1.0,
-                     target / np.maximum(rms, SILENCE_RMS_FLOOR))
+                     cfg.target_rms / np.maximum(rms, SILENCE_RMS_FLOOR))
     out = np.multiply(rows, scale, out=dsp.scratch("rms_normalize.out", rows.shape))
     return np.clip(out, -1.0, 1.0, out=out)
 
@@ -218,12 +219,23 @@ def rms_normalize(buf: AudioBuffer, target: float) -> AudioBuffer:
     """Scale the signal so its RMS equals target, then clamp to [-1, 1].
 
     Buffers below the silence floor pass through unchanged; there is nothing
-    meaningful to scale and the division would blow up.
+    meaningful to scale and the division would blow up. A target that
+    PreprocessConfig refuses as target_rms raises ValueError.
     """
     require_pipeline_audio(buf)
-    if target <= 0.0:
-        raise ValueError(f"target must be positive, got {target}")
-    return AudioBuffer(_rms_normalize(buf.samples, target).copy(), buf.sample_rate_hz)
+    return _one_row(_rms_normalize, buf, PreprocessConfig(target_rms=target))
+
+
+# The one table of stages: name -> row function f(rows, cfg, noise), which
+# runs over every row of a (T, n) array and returns its rows in scratch.
+STAGES = {"spectral_subtract": _spectral_subtract, "energy_gate": _energy_gate,
+          "rms_normalize": _rms_normalize}
+
+
+def _one_row(stage, buf: AudioBuffer, cfg: PreprocessConfig, noise=None) -> AudioBuffer:
+    """The T = 1 case of a row function (a STAGES entry or the whole chain):
+    stage over buf's samples as one (1, n) row, copied out of scratch."""
+    return AudioBuffer(stage(buf.samples[None], cfg, noise)[0].copy(), buf.sample_rate_hz)
 
 
 def clip_noise_profile(buf: AudioBuffer, cfg: PreprocessConfig) -> NoiseProfile:
@@ -250,12 +262,7 @@ def preprocess_rows_scratch(rows: np.ndarray, cfg: PreprocessConfig,
     if rows.ndim != 2 or rows.shape[1] == 0:
         raise ValueError(f"expected a non-empty (T, n) array, got shape {rows.shape}")
     for stage in cfg.stages:
-        if stage == "spectral_subtract":
-            rows = _spectral_subtract(rows, cfg, noise)
-        elif stage == "energy_gate":
-            rows = _energy_gate(rows, cfg)
-        elif stage == "rms_normalize":
-            rows = _rms_normalize(rows, cfg.target_rms)
+        rows = STAGES[stage](rows, cfg, noise)
     return rows
 
 
@@ -268,5 +275,4 @@ def preprocess_segment(seg: AudioBuffer, cfg: PreprocessConfig,
         raise ValueError("cannot preprocess an empty segment")
     if noise is None:
         noise = clip_noise_profile(seg, cfg)
-    return AudioBuffer(preprocess_rows_scratch(seg.samples[None], cfg, noise)[0].copy(),
-                       seg.sample_rate_hz)
+    return _one_row(preprocess_rows_scratch, seg, cfg, noise)

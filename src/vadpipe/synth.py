@@ -35,6 +35,7 @@ LABELS = ("clean_speech", "noisy_speech", "non_speech")
 NOISE_KINDS = ("white", "pink", "babble")
 DEFAULT_SNRS_DB = (0.0, 5.0, 10.0, 15.0, 20.0)
 DEFAULT_DURATION_S = 8.0
+DEFAULT_SEED = 0
 BABBLE_VOICES = 8
 # The noise level generate_corpus mixes into noisy speech; the generators' default.
 NOISE_RMS = 0.05
@@ -420,7 +421,7 @@ def make_noise(kind: str, rng: np.random.Generator, duration_s: float,
 # corpus assembly
 
 def generate_corpus(out_dir: str | Path, counts: tuple[int, int, int],
-                    snr_list: tuple[float, ...] = DEFAULT_SNRS_DB, seed: int = 0,
+                    snr_list: tuple[float, ...] = DEFAULT_SNRS_DB, seed: int = DEFAULT_SEED,
                     duration_s: float = DEFAULT_DURATION_S,
                     sample_rate_hz: int = PIPELINE_RATE_HZ,
                     write_stems: bool = True) -> Manifest:

@@ -136,6 +136,45 @@ def test_rows_estimate_their_own_noise(stages):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+# preprocess.STAGES is the one table of stages: the chain runs it, and the
+# AudioBuffer functions are its T = 1 case, so the two cannot drift apart.
+ONE_ROWS = {"noisy": lambda: noisy_clip(0.2, seed=9).samples, "silent": lambda: np.zeros(3200)}
+PUBLIC_STAGES = {
+    "spectral_subtract": lambda buf, cfg, noise: preprocess.spectral_subtract(buf, cfg, noise),
+    "energy_gate": lambda buf, cfg, noise: preprocess.energy_gate(buf, cfg),
+    "rms_normalize": lambda buf, cfg, noise: preprocess.rms_normalize(buf, cfg.target_rms),
+}
+
+
+def one_row_profiles(cfg):
+    return {"clip": clip_noise_profile(noisy_clip(1.0), cfg),
+            "zero": NoiseProfile(np.zeros(preprocess.FFT_LEN // 2 + 1))}
+
+
+def test_stage_table_names_the_stages():
+    assert tuple(preprocess.STAGES) == STAGE_NAMES == tuple(PUBLIC_STAGES)
+
+
+@pytest.mark.parametrize("row", sorted(ONE_ROWS))
+@pytest.mark.parametrize("name", STAGE_NAMES)
+def test_public_stage_is_its_table_entry(name, row):
+    cfg = PreprocessConfig()
+    samples = ONE_ROWS[row]()
+    for noise in one_row_profiles(cfg).values():
+        want = preprocess.STAGES[name](samples[None], cfg, noise)[0].tobytes()
+        assert PUBLIC_STAGES[name](make_buffer(samples), cfg, noise).samples.tobytes() == want
+
+
+@pytest.mark.parametrize("stages", STAGE_ORDERS, ids=lambda s: "+".join(s) or "none")
+def test_preprocess_segment_is_the_chain_on_one_row(stages):
+    cfg = PreprocessConfig(stages=stages)
+    for make in ONE_ROWS.values():
+        samples = make()
+        for noise in one_row_profiles(cfg).values():
+            want = preprocess_rows_scratch(samples[None], cfg, noise)[0].tobytes()
+            assert preprocess_segment(make_buffer(samples), cfg, noise).samples.tobytes() == want
+
+
 def test_other_settings():
     buf = noisy_clip(3.3, seed=11, snr_db=10.0)
     for cfg in (PipelineConfig(mode="vad2", thresh=20.0, segment_ms=130.0),

@@ -99,16 +99,6 @@ class TestStftIstft:
         err = np.abs(out.samples - samples)[512:-512]
         assert err.max() <= 1e-9
 
-    def test_rejects_non_power_of_two(self):
-        for fft_len in (0, 500, 513):
-            with pytest.raises(ValueError, match=f"power of two, got {fft_len}"):
-                dsp.stft(make_buffer(np.zeros(1000)), fft_len=fft_len, hop=1)
-
-    def test_rejects_non_dividing_hop(self):
-        for hop in (100, 0, -128):
-            with pytest.raises(ValueError, match=f"hop {hop} must be positive and divide"):
-                dsp.stft(make_buffer(np.zeros(1000)), fft_len=512, hop=hop)
-
     def test_istft_pads_or_trims_to_out_len(self, rng):
         buf = make_buffer(rng.standard_normal(3000) * 0.1)
         spec = dsp.stft(buf)

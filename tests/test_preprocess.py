@@ -103,7 +103,7 @@ class TestSpectralSubtract:
         n = len(samples)
         pad = min(FFT_LEN, n - 1)
         padded = np.pad(samples, pad, mode="reflect") if pad else samples
-        spec = dsp.stft(make_buffer(padded), FFT_LEN, FFT_HOP).frames
+        spec = dsp.stft(make_buffer(padded)).frames
         mag = np.abs(spec)
         clean = subtract_magnitude(mag, cfg.alpha, noise.magnitude_spectrum, cfg.beta)
         zero = mag == 0.0
@@ -243,7 +243,7 @@ class TestSpectralSubtract:
         # The default lead-in is (6 - 1) * 128 + 512 = 1152 samples.
         cfg = PreprocessConfig()
         buf = make_buffer(rng.standard_normal(n) * 0.2)
-        whole = dsp.stft(buf, FFT_LEN, FFT_HOP)
+        whole = dsp.stft(buf)
         want = spectral_subtract(
             buf, cfg, noise=estimate_noise(whole, min(cfg.noise_frames, whole.num_frames)))
 
@@ -259,7 +259,7 @@ class TestSpectralSubtract:
         buf = make_buffer(rng.standard_normal(16000) * 0.1)
         cfg = PreprocessConfig()
         profile = clip_noise_profile(buf, cfg)
-        spec = dsp.stft(buf, FFT_LEN, FFT_HOP)
+        spec = dsp.stft(buf)
         expected = estimate_noise(spec, cfg.noise_frames)
         assert np.array_equal(profile.magnitude_spectrum, expected.magnitude_spectrum)
 
@@ -385,8 +385,9 @@ class TestRmsNormalize:
         assert np.all(out.samples == 0.0)
 
     def test_bad_target(self):
-        with pytest.raises(ValueError):
-            rms_normalize(make_buffer([0.1]), 0.0)
+        for target in (0.0, -0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="target_rms must be"):
+                rms_normalize(make_buffer([0.1]), target)
 
 
 class TestPreprocessSegment:
