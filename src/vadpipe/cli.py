@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import parallel
 from .audio_io import ensure_rate, read_wav
-from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, MODES, PipelineConfig, run_pipeline,
+from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, MODES, PipelineConfig, run_clips,
                        run_pipeline_on_scores)
 from .postprocess import VoteConfig
 from .preprocess import PreprocessConfig
@@ -167,10 +167,28 @@ def cmd_synth(args, parser) -> int:
     return 0
 
 
-def _detect_one(path: str, cfg: PipelineConfig):
-    if cfg.scorer_backend == "score-file":
-        return run_pipeline_on_scores(load_scores(path), cfg)
-    return run_pipeline(ensure_rate(read_wav(path)), cfg)
+def _decode(path: str):
+    """One clip as pipeline audio, or the declared error (CLIP_ERRORS) that
+    stopped its read or resample."""
+    try:
+        return ensure_rate(read_wav(path))
+    except CLIP_ERRORS as exc:
+        return exc
+
+
+def _detect(paths: list[str], cfg: PipelineConfig):
+    """Per path, its PipelineResult or the declared error that ended it, in
+    order. WAVs go through pipeline.run_clips, so the next file is read and
+    planned while the pool scores the one before."""
+    if cfg.scorer_backend == "reference":
+        for (result,) in run_clips(map(_decode, paths), [cfg]):
+            yield result
+        return
+    for path in paths:
+        try:
+            yield run_pipeline_on_scores(load_scores(path), cfg)
+        except CLIP_ERRORS as exc:
+            yield exc
 
 
 def cmd_detect(args, parser) -> int:
@@ -188,11 +206,9 @@ def cmd_detect(args, parser) -> int:
         parser.error("no input files (pass paths or --manifest)")
 
     failed = 0
-    for path in paths:
-        try:
-            result = _detect_one(path, cfg)
-        except CLIP_ERRORS as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+    for path, result in zip(paths, _detect(paths, cfg)):
+        if isinstance(result, Exception):
+            print(f"error: {path}: {result}", file=sys.stderr)
             failed += 1
             continue
         decision = result.decision

@@ -25,7 +25,7 @@ import scipy.signal  # noqa: F401
 from . import parallel
 from .audio_io import AudioBuffer, ensure_rate, read_wav
 from .pipeline import (CLIP_ERRORS, DEFAULT_TARGET_TPR, PipelineConfig, PipelineResult,
-                       run_configs)
+                       run_clips, run_configs)
 # Unused here but kept importable from this module, where perfbench/tracing.py's
 # MODE_PATCHES wraps it.
 from .pipeline import run_pipeline  # noqa: F401
@@ -126,18 +126,10 @@ def _decode(path: str) -> AudioBuffer | Exception:
         return exc
 
 
-def _score_clip(path: str, buf: AudioBuffer | Exception, cfgs: Sequence[PipelineConfig],
-                meanwhile=None) -> list[PipelineResult | str]:
-    """Every config on one decoded clip (run_configs, which runs meanwhile()):
-    per config, its PipelineResult or its error message. A declared per-clip
-    error becomes that clip and config's error, so one bad clip cannot abort
-    the whole evaluation; any other exception propagates."""
-    if isinstance(buf, Exception):
-        results = [buf] * len(cfgs)
-        if meanwhile is not None:
-            meanwhile()
-    else:
-        results = run_configs(buf, cfgs, meanwhile)
+def _messages(path: str, results: list) -> list[PipelineResult | str]:
+    """Per config, its PipelineResult or its error message. A declared
+    per-clip error becomes that clip and config's error, so one bad clip
+    cannot abort the whole evaluation."""
     return [f"{path}: {type(r).__name__}: {r}" if isinstance(r, Exception) else r
             for r in results]
 
@@ -147,14 +139,16 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
              tpr_targets: Sequence[float] = (DEFAULT_TARGET_TPR,)) -> list[EvalReport]:
     """Score every manifest clip under every config and assemble reports.
 
-    Each clip is decoded once, and every config's row chunks of it go to
-    the pool in one task list (pipeline.run_configs). At jobs = 1, the only
-    setting perfbench traces, the clips run one after another on the
-    calling thread, which decodes clip i + 1 (read_wav and ensure_rate)
-    while the pool scores clip i; a declared error in that decode is clip
-    i + 1's. Otherwise the clips run on jobs clip threads, each with
-    max(1, cpus // jobs) chunk threads. The ROC sweep reuses the cached
-    per-clip statistics. Output ordering and file bytes do not depend on jobs.
+    Each clip is decoded once, and every config's rows of it go to the pool
+    in one batch (pipeline.plan_configs). At jobs = 1, the only setting
+    perfbench traces, the calling thread decodes (read_wav and ensure_rate)
+    and plans each clip while the pool scores the ones before, up to
+    threads() clips in flight, and joins and votes the oldest
+    (pipeline.run_clips), so the pool scores across clip boundaries; a
+    declared error in a decode is that clip's. Otherwise the clips run on
+    jobs clip threads, each with max(1, cpus // jobs) chunk threads. The
+    ROC sweep reuses the cached per-clip statistics. Output ordering and
+    file bytes do not depend on jobs.
     """
     if not manifest.entries:
         raise ValueError("manifest has no entries")
@@ -166,18 +160,13 @@ def run_eval(manifest: Manifest, configs: Sequence[PipelineConfig],
                          "with the reference scorer")
     paths = [str(manifest.resolve(e)) for e in manifest.entries]
     if jobs == 1:
-        per_clip, ahead = [], [_decode(paths[0])]
-        for i, path in enumerate(paths):
-            buf = ahead.pop()
-            last = i + 1 == len(paths)
-            decode_next = None if last else (lambda: ahead.append(_decode(paths[i + 1])))
-            per_clip.append(_score_clip(path, buf, configs, decode_next))
+        per_clip = list(map(_messages, paths, run_clips(map(_decode, paths), configs)))
     else:
         share = max(1, parallel.threads() // jobs)
         with ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="vadpipe-clip",
                                 initializer=parallel.set_threads, initargs=(share,)) as pool:
-            per_clip = list(pool.map(lambda path: _score_clip(path, _decode(path), configs),
-                                     paths))
+            per_clip = list(pool.map(
+                lambda path: _messages(path, run_configs(_decode(path), configs)), paths))
 
     reports = []
     for i, cfg in enumerate(configs):

@@ -9,11 +9,13 @@ contiguous chunk of rows per CPU (`parallel.chunk_tasks`), and each chunk
 also reduces its rows' scores to their segment values; the results are the
 same as running each segment on its own, on any number of CPUs.
 run_configs runs one clip under several configs, with every config's
-chunks in one `parallel.map_tasks` call; run_pipeline is its one-config
-case. In the vote modes a segment of digital silence (dsp.silent_frames)
-gets the value +0.0, which the chain would give it, without running it,
-whenever pre-processing keeps silence silent (preprocess.keeps_silence):
-each chunk runs only its other rows, and dsp.spread puts the values back.
+chunks in one pool batch (`parallel.submit`); run_pipeline is its
+one-config case, and run_clips runs many clips with the next ones planned
+before the oldest is joined. In the vote modes a segment of digital
+silence (dsp.silent_frames) gets the value +0.0, which the chain would give
+it, without running it, whenever pre-processing keeps silence silent
+(preprocess.keeps_silence): each chunk runs only its other rows, and
+dsp.spread puts the values back.
 The baseline's clip is the one-row case, a (1, n) array, whose silent
 frames the scorer skips instead (ReferenceScorer.score_rows); a row of at
 least 2 * scorer.MIN_CHUNK_FRAMES frames also splits its frames across CPUs.
@@ -22,6 +24,7 @@ least 2 * scorer.MIN_CHUNK_FRAMES frames also splits its frames across CPUs.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -153,7 +156,7 @@ def _attempt(step, *args):
 
 def _plan(buf: AudioBuffer, cfg: PipelineConfig):
     """One config's head, on the calling thread: its row chunks as tasks for
-    parallel.map_tasks, and the function that decides the clip from their
+    parallel.submit, and the function that decides the clip from their
     values. A task returns its declared error rather than raise it, so that
     it ends this config only."""
     scorer = cfg.scoring
@@ -185,30 +188,88 @@ def _plan(buf: AudioBuffer, cfg: PipelineConfig):
     return tasks, decide
 
 
-def run_configs(buf: AudioBuffer, cfgs, meanwhile=None) -> list[PipelineResult | Exception]:
+def plan_configs(buf: AudioBuffer | Exception, cfgs):
+    """run_configs' head, on the calling thread, as (batch, vote): the batch
+    of every config's row chunks, submitted to the pool (parallel.submit),
+    and the function that turns the batch's joined values into run_configs'
+    results.
+
+    It checks the audio once and runs each config's head (_plan):
+    segment_rows, the noise profile and the silence scan. buf may instead be
+    the declared error (CLIP_ERRORS) that stopped the clip's decode, which
+    becomes every config's result.
+    """
+    checked = buf if isinstance(buf, Exception) else _attempt(require_pipeline_audio, buf)
+    plans = [checked or _attempt(_plan, buf, cfg) for cfg in cfgs]
+    batch = parallel.submit([task for plan in plans if not isinstance(plan, Exception)
+                             for task in plan[0]])
+
+    def vote(joined: list) -> list[PipelineResult | Exception]:
+        values = iter(joined)
+        results = []
+        for plan in plans:
+            if not isinstance(plan, Exception):
+                tasks, decide = plan
+                chunks = [next(values) for _ in tasks]
+                errors = [chunk for chunk in chunks if isinstance(chunk, Exception)]
+                plan = errors[0] if errors else _attempt(decide, chunks)
+            results.append(plan)
+        return results
+
+    return batch, vote
+
+
+def run_configs(buf: AudioBuffer | Exception, cfgs) -> list[PipelineResult | Exception]:
     """Detect speech in one clip of pipeline audio (see require_pipeline_audio)
     under each config: per config, its PipelineResult or the declared error
-    (CLIP_ERRORS) that ended it. Any other exception propagates.
+    (CLIP_ERRORS) that ended it, which may be the error that stopped the
+    clip's decode, given in place of buf. Any other exception propagates.
 
-    The calling thread checks the audio once and runs each config's head
-    (_plan): segment_rows, the noise profile and the silence scan. Every
-    config's row chunks then go to the pool in one parallel.map_tasks call,
-    which runs meanwhile() on the calling thread (eval decodes the next clip
-    there), and the calling thread decides each config from its values.
+    The head (plan_configs) runs on the calling thread and submits every
+    config's row chunks to the pool in one batch; the finish joins the
+    batch and decides each config from its values, on the calling thread.
     """
-    checked = _attempt(require_pipeline_audio, buf)
-    plans = [checked or _attempt(_plan, buf, cfg) for cfg in cfgs]
-    live = [plan for plan in plans if not isinstance(plan, Exception)]
-    values = iter(parallel.map_tasks([task for tasks, _ in live for task in tasks], meanwhile))
-    results = []
-    for plan in plans:
-        if not isinstance(plan, Exception):
-            tasks, decide = plan
-            chunks = [next(values) for _ in tasks]
-            errors = [chunk for chunk in chunks if isinstance(chunk, Exception)]
-            plan = errors[0] if errors else _attempt(decide, chunks)
-        results.append(plan)
-    return results
+    batch, vote = plan_configs(buf, cfgs)
+    return vote(batch.join())
+
+
+def _join_oldest(pending: deque) -> list[PipelineResult | Exception]:
+    """Join and vote the oldest planned clip; while its started tasks run,
+    the calling thread runs the later clips' tasks."""
+    batch, vote = pending.popleft()
+    return vote(batch.join(*(later for later, _ in pending)))
+
+
+def run_clips(clips, cfgs):
+    """run_configs(clip, cfgs) for each clip of an iterable, in order, as a
+    generator, with clips planned ahead so that no CPU idles at a clip's end.
+
+    A clip is pipeline audio, or the declared error (CLIP_ERRORS) that
+    stopped its decode, which becomes every config's result. The calling
+    thread takes clips from the iterable (so an iterator that decodes does
+    so on this thread) and plans them (plan_configs) until threads() are in
+    flight; it then joins the oldest, votes it and yields its results. So
+    at most threads() decoded clips are held at once, and one CPU plans
+    none ahead. Each config's rows are cut into one chunk per thread, as in
+    run_configs: in alternated runs of eval at --jobs 1 on a 2-vCPU VM, one
+    task per config was slower (12 of 14 rounds), and a depth of
+    threads() + 1 no faster. When a join raises, or the generator is closed
+    early, the queued clips' unstarted tasks are dropped and their started
+    ones waited for before it returns.
+    """
+    cfgs = list(cfgs)
+    depth = parallel.threads()
+    pending = deque()
+    try:
+        for clip in clips:
+            pending.append(plan_configs(clip, cfgs))
+            if len(pending) == depth:
+                yield _join_oldest(pending)
+        while pending:
+            yield _join_oldest(pending)
+    finally:
+        for batch, _ in pending:
+            batch.cancel()
 
 
 def run_pipeline(buf: AudioBuffer, cfg: PipelineConfig) -> PipelineResult:

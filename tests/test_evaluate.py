@@ -1,8 +1,11 @@
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
-from vadpipe import evaluate, parallel
+from vadpipe import evaluate, parallel, pipeline
 from vadpipe.audio_io import ensure_rate, read_wav
 from vadpipe.evaluate import (class_accuracy, clip_statistic, fpr_at_tpr,
                               roc_sweep, run_eval)
@@ -270,33 +273,33 @@ def corpus48(tmp_path_factory):
     return manifest
 
 
-SCORE_CLIP = evaluate._score_clip
+MESSAGES = evaluate._messages
 
 
 def eval_outcomes(monkeypatch, manifest, jobs):
     """run_eval's reports, and per clip path each config's outcome or error."""
     seen = {}
 
-    def recording(path, buf, cfgs, meanwhile=None):
-        results = SCORE_CLIP(path, buf, cfgs, meanwhile)
+    def recording(path, results):
+        results = MESSAGES(path, results)
         seen[path] = [r if isinstance(r, str) else outcome(r) for r in results]
         return results
 
-    monkeypatch.setattr(evaluate, "_score_clip", recording)
+    monkeypatch.setattr(evaluate, "_messages", recording)
     cfgs = [PipelineConfig(mode=m, thresh=45.0) for m in MODES]
     return run_eval(manifest, cfgs, jobs=jobs), seen
 
 
 class TestOneTaskListPerClip:
     """eval hands every config's row chunks of a clip to the pool at once and,
-    at jobs = 1, decodes the next clip meanwhile."""
+    at jobs = 1, decodes and plans the next clips before it joins one."""
 
     @pytest.fixture(autouse=True)
     def reset_threads(self):
         yield
         parallel.set_threads(None)
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_clip_and_config_as_run_pipeline_gives_it(self, corpus48, monkeypatch,
                                                            jobs, threads):
@@ -332,3 +335,27 @@ class TestOneTaskListPerClip:
         for report, clean in zip(reports, good):
             assert report.errors == (bad[0],)
             assert (report.num_clips, report.roc) == (clean.num_clips, clean.roc)
+
+    def test_a_program_error_stops_eval_once_its_started_tasks_end(self, corpus48,
+                                                                    monkeypatch):
+        # vad2's row blocks are slow, so later clips are queued when the third
+        # of them fails: the error propagates once every started task has
+        # ended, and no queued task runs after run_eval raises.
+        parallel.set_threads(2)
+        events, calls, original = [], itertools.count(), pipeline.preprocess_rows_scratch
+
+        def slow_then_broken(block, cfg, noise):
+            events.append("start")
+            time.sleep(0.01)
+            if next(calls) == 2:
+                raise TypeError("stage is broken")
+            events.append("end")
+            return original(block, cfg, noise)
+
+        monkeypatch.setattr(pipeline, "preprocess_rows_scratch", slow_then_broken)
+        with pytest.raises(TypeError, match="stage is broken"):
+            run_eval(corpus48, [PipelineConfig(mode=m, thresh=45.0) for m in MODES], jobs=1)
+        at_raise = list(events)
+        time.sleep(0.3)
+        assert events == at_raise
+        assert at_raise.count("start") == at_raise.count("end") + 1

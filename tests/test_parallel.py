@@ -10,6 +10,7 @@ must run its chunks on a pool of its own, and no result may share memory
 with scratch.
 """
 
+import functools
 import multiprocessing
 import os
 import sys
@@ -156,20 +157,21 @@ def test_map_chunks_joins_in_order_and_propagates_errors():
         parallel.map_chunks(fail_late, 9)
 
 
-def test_map_tasks_runs_meanwhile_on_the_caller_and_joins_in_order():
-    caller = threading.get_ident()
+def test_submit_returns_at_once_and_join_gives_task_order():
     for budget in (1, 2, 3):
         parallel.set_threads(budget)
-        ran = []
-        tasks = [lambda i=i: (time.sleep(0.01), i)[1] for i in range(7)]
-        assert parallel.map_tasks(tasks, meanwhile=lambda: ran.append(threading.get_ident())) \
-            == list(range(7))
-        assert ran == [caller]
+        first = parallel.submit([lambda i=i: (time.sleep(0.01), i)[1] for i in range(7)])
+        second = parallel.submit([lambda i=i: (time.sleep(0.01), -i)[1] for i in range(5)])
+        # joined out of order: the pool and the joiner run both batches
+        assert second.join() == [0, -1, -2, -3, -4]
+        assert first.join() == list(range(7))
         assert parallel.map_tasks([]) == []
         assert parallel.map_tasks([lambda: 5]) == [5]
 
 
-def test_map_tasks_raises_after_every_started_task_has_finished():
+def test_map_tasks_raises_after_every_started_task_has_finished(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
     parallel.set_threads(2)
     started, finished, unstarted = threading.Event(), threading.Event(), []
 
@@ -181,19 +183,39 @@ def test_map_tasks_raises_after_every_started_task_has_finished():
     def fail():
         raise TypeError("task failed")
 
-    # The pool thread starts the slow first task, and meanwhile waits for
-    # that; the caller then takes the failing last task from the back. The
-    # error propagates once the slow task is done, and the task between
-    # them, which nobody started, never runs.
+    # The pool thread starts the slow first task before the join; the
+    # joiner then takes the failing last task from the back. The error
+    # propagates once the slow task is done, and the task between them,
+    # which nobody started, never runs.
+    batch = parallel.submit([slow, lambda: unstarted.append(1), fail])
+    assert started.wait(10)
     with pytest.raises(TypeError, match="task failed"):
-        parallel.map_tasks([slow, lambda: unstarted.append(1), fail],
-                           meanwhile=lambda: started.wait(10))
+        batch.join()
     assert finished.is_set() and unstarted == []
     # a failing pool task: the caller's own task still runs to its end
     finished.clear()
     with pytest.raises(TypeError, match="task failed"):
         parallel.map_tasks([fail, slow])
     assert finished.is_set()
+
+
+def test_cancel_drops_unstarted_tasks_and_waits_for_started_ones(monkeypatch):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
+    parallel.set_threads(2)
+    started, finished, ran = threading.Event(), threading.Event(), []
+
+    def slow():
+        started.set()
+        time.sleep(0.2)
+        finished.set()
+
+    batch = parallel.submit([slow] + [lambda i=i: ran.append(i) for i in range(4)])
+    assert started.wait(10)
+    batch.cancel()
+    assert finished.is_set()
+    time.sleep(0.1)
+    assert ran == [] and batch.running == 0
 
 
 def _nested(fail: bool):
@@ -218,7 +240,6 @@ def test_nested_map_chunks_joins_in_order_and_propagates_errors(monkeypatch):
     # rather than waited on, or the call never returns.
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
-    monkeypatch.setattr(parallel, "_pool_size", 0)
     # the calls run on a thread of their own, so that a hang fails the test
     caller = ThreadPoolExecutor(max_workers=1, initializer=parallel.set_threads, initargs=(2,))
     try:
@@ -230,12 +251,38 @@ def test_nested_map_chunks_joins_in_order_and_propagates_errors(monkeypatch):
         caller.shutdown(wait=False)
 
 
+def test_nested_map_tasks_while_two_batches_are_queued(monkeypatch):
+    # Both batches are queued before either is joined, the first join runs
+    # the second batch's tasks while it waits, and every task of both
+    # submits and joins a batch of its own. A join waits only on tasks that
+    # have started, so every join finishes.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
+
+    def outer(tag, i):
+        time.sleep(0.01)
+        return parallel.map_tasks([lambda j=j: (tag, i, j) for j in range(3)])
+
+    def run():
+        first = parallel.submit([functools.partial(outer, "a", i) for i in range(3)])
+        second = parallel.submit([functools.partial(outer, "b", i) for i in range(3)])
+        return first.join(second), second.join()
+
+    # the calls run on a thread of their own, so that a hang fails the test
+    caller = ThreadPoolExecutor(max_workers=1, initializer=parallel.set_threads, initargs=(2,))
+    try:
+        got = caller.submit(run).result(timeout=60)
+    finally:
+        caller.shutdown(wait=False)
+    assert got == tuple([[(tag, i, j) for j in range(3)] for i in range(3)] for tag in "ab")
+
+
 def test_concurrent_callers_get_their_own_results(monkeypatch):
     # More callers than CPUs, each setting its own budget of 2 or 4 and
-    # chunking over a shared pool that the first caller at 4 replaces with a
-    # larger one midway, with the interpreter switching threads often: a
-    # scratch array shared across threads, or a chunk joined to the wrong
-    # call, changes some caller's values.
+    # chunking over a shared pool that the first caller at 4 grows midway,
+    # with the interpreter switching threads often: a scratch array shared
+    # across threads, a task run inside another batch's join, or a chunk
+    # joined to the wrong call, changes some caller's values.
     clips = [noisy(int(sec * SR), seed=i) for i, sec in enumerate((2.9, 1.3, 4.1))]
     cfgs = [PipelineConfig(mode=m, thresh=THRESH) for m in MODES]
     jobs = [(clip, cfg) for clip in clips for cfg in cfgs] * 3
@@ -243,11 +290,16 @@ def test_concurrent_callers_get_their_own_results(monkeypatch):
     want = [outcome(run_pipeline(clip, cfg)) for clip, cfg in jobs]
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     monkeypatch.setattr(parallel, "_pool", None)   # made for a budget of 2: one thread
-    monkeypatch.setattr(parallel, "_pool_size", 0)
 
     def call(job, budget):
         parallel.set_threads(budget)
-        return outcome(run_pipeline(*job))
+        if budget == 2:
+            return outcome(run_pipeline(*job))
+        # the callers at 4 plan the clip twice, the second ahead of the first's join
+        clip, cfg = job
+        (first,), (second,) = pipeline.run_clips([clip, clip], [cfg])
+        assert outcome(first) == outcome(second)
+        return outcome(first)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -258,7 +310,7 @@ def test_concurrent_callers_get_their_own_results(monkeypatch):
     finally:
         sys.setswitchinterval(old)
     assert got == want
-    assert parallel._pool_size == 3
+    assert parallel._pool.size == 3
 
 
 def test_threads_follow_the_affinity_mask(monkeypatch):
@@ -310,11 +362,33 @@ def test_wrapped_functions_run_on_the_calling_thread(monkeypatch, tmp_path):
     # perfbench's replay calls score, whose 228 frames split across the
     # threads, and decide_segment on its matrix
     aggregate.decide_segment(scorer.ReferenceScorer().score(buf), THRESH)
-    # eval at --jobs 1 decodes and resamples each next 48 kHz clip while the
-    # pool scores the one before
+    # eval at --jobs 1 decodes, resamples and plans each next 48 kHz clip
+    # while the pool scores the ones before; vad2's row blocks are made slow,
+    # so that two clips are in flight
     manifest = generate_corpus(tmp_path, (1, 1, 1), (5.0,), seed=3, duration_s=1.0,
                                sample_rate_hz=48000, write_stems=False)
     evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])
+    in_flight, most = [0], [0]
+    plan, preprocess_rows = pipeline.plan_configs, pipeline.preprocess_rows_scratch
+
+    def counted(buf, cfgs):
+        batch, vote = plan(buf, cfgs)
+        in_flight[0] += 1
+        most[0] = max(most[0], in_flight[0])
+
+        def voted(joined):
+            in_flight[0] -= 1
+            return vote(joined)
+        return batch, voted
+
+    def slow(block, cfg, noise):
+        time.sleep(0.02)
+        return preprocess_rows(block, cfg, noise)
+
+    monkeypatch.setattr(pipeline, "plan_configs", counted)
+    monkeypatch.setattr(pipeline, "preprocess_rows_scratch", slow)
+    evaluate.run_eval(manifest, [PipelineConfig(mode=m, thresh=THRESH) for m in MODES])
+    assert most[0] >= 2
 
     assert {"scorer.mel_filterbank", "scorer.score", "aggregate.decide_segment",
             "preprocess.clip_noise_profile", "dsp.stft", "pipeline.run_pipeline",
@@ -352,9 +426,8 @@ def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
                                write_stems=False)
     monkeypatch.setattr(parallel, "usable_cpus", lambda: 8)
     monkeypatch.setattr(parallel, "_pool", None)
-    monkeypatch.setattr(parallel, "_pool_size", 0)
 
-    def report_budgets(buf, cfgs, meanwhile=None):
+    def report_budgets(buf, cfgs):
         clip_thread = threading.get_ident()
 
         def outer(lo, hi):
@@ -372,15 +445,16 @@ def test_clip_threads_nested_chunks_keep_their_share(monkeypatch, tmp_path):
     (report,) = evaluate.run_eval(manifest, [PipelineConfig(mode="vad1")], jobs=2)
     assert len(report.errors) == 2
     assert all("budgets=[4] pooled=True chunks=20" in e for e in report.errors), report.errors
-    assert parallel._pool_size >= 2 * (4 - 1)
+    assert parallel._pool.size >= 2 * (4 - 1)
 
 
 def _chunk_threads(conn):
     caller = threading.get_ident()
 
     def on_caller(lo, hi):
-        if lo == 0:  # a pool thread has time to start the other chunk
-            time.sleep(0.5)
+        # a pool thread has time to start the other chunk, and the caller to
+        # take this one while the pool thread is busy with that
+        time.sleep(0.5 if lo == 0 else 0.1)
         return threading.get_ident() == caller
 
     conn.send(parallel.map_chunks(on_caller, 2))
@@ -403,6 +477,35 @@ def test_forked_child_runs_chunks_on_a_pool_of_its_own():
         child.kill()
         pytest.fail("forked child did not finish in 60 s")
     assert receiver.poll(0) and receiver.recv() == [True, False]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_forked_child_runs_chunks_while_the_parent_has_batches_in_flight(monkeypatch):
+    # The parent forks while its one pool thread runs a task and more wait
+    # queued: the child's pool is its own, and the parent's batch still
+    # ends with every result.
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_pool", None)   # made afresh, with one thread
+    parallel.set_threads(2)
+    started = threading.Event()
+
+    def slow(i):
+        started.set()
+        time.sleep(0.3)
+        return i
+
+    batch = parallel.submit([functools.partial(slow, i) for i in range(3)])
+    assert started.wait(10)
+    ctx = multiprocessing.get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_chunk_threads, args=(sender,))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        pytest.fail("forked child did not finish in 60 s")
+    assert receiver.poll(0) and receiver.recv() == [True, False]
+    assert batch.join() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------

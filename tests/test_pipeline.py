@@ -1,4 +1,5 @@
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,8 +11,9 @@ from vadpipe.audio_io import MAX_SAMPLE_MAGNITUDE, AudioBuffer, ensure_rate
 from vadpipe.preprocess import (PreprocessConfig, clip_noise_profile, energy_gate,
                                 preprocess_rows_scratch, preprocess_segment, rms_normalize,
                                 spectral_subtract)
-from vadpipe.pipeline import (CLIP_ERRORS, MAX_SEGMENT_MS, MODES, PipelineConfig, run_configs,
-                              run_pipeline, run_pipeline_on_scores, segment, segment_rows)
+from vadpipe.pipeline import (CLIP_ERRORS, MAX_SEGMENT_MS, MODES, PipelineConfig, run_clips,
+                              run_configs, run_pipeline, run_pipeline_on_scores, segment,
+                              segment_rows)
 from vadpipe.scorer import (MAX_BANDS, MAX_FRAME_MS, FrameScoreMatrix, ReferenceScorer,
                             slice_scores)
 from vadpipe.synth import (NOISE_KINDS, make_noise, mix_at_snr, speech_surrogate,
@@ -492,10 +494,8 @@ class TestRunConfigs:
         parallel.set_threads(1)
         want = [_outcome(run_pipeline(clip, cfg)) for cfg in self.CFGS]
         parallel.set_threads(threads)
-        ran = []
-        got = run_configs(clip, self.CFGS, meanwhile=lambda: ran.append(threading.get_ident()))
+        got = run_configs(clip, self.CFGS)
         assert [_outcome(r) for r in got] == want
-        assert ran == [threading.get_ident()]
 
     @pytest.mark.parametrize("error", CLIP_ERRORS)
     def test_a_declared_error_in_a_pool_task_ends_its_config_only(self, clip, monkeypatch,
@@ -527,12 +527,9 @@ class TestRunConfigs:
         assert [_outcome(baseline), _outcome(vad1)] == want
         assert isinstance(vad2, ValueError) and str(vad2).endswith("caller: True")
 
-    def test_bad_audio_is_every_configs_error_and_meanwhile_still_runs(self):
-        ran = []
-        results = run_configs(make_buffer(np.array([0.0, np.nan] * 4000)), self.CFGS,
-                              meanwhile=lambda: ran.append(threading.get_ident()))
+    def test_bad_audio_is_every_configs_error(self):
+        results = run_configs(make_buffer(np.array([0.0, np.nan] * 4000)), self.CFGS)
         assert [str(r) for r in results] == ["audio samples must be finite"] * 3
-        assert ran == [threading.get_ident()]
 
     @pytest.mark.parametrize("error", [TypeError, RuntimeError])
     def test_a_program_error_in_a_pool_task_propagates(self, clip, monkeypatch, error):
@@ -542,3 +539,52 @@ class TestRunConfigs:
         monkeypatch.setattr(pipeline, "preprocess_rows_scratch", broken)
         with pytest.raises(error, match="stage is broken"):
             run_configs(clip, self.CFGS)
+
+
+class TestRunClips:
+    """Clips planned ahead of the one joined: each clip's results are the
+    ones run_configs gives it, in order, and nothing queued outlives the
+    generator."""
+
+    CFGS = TestRunConfigs.CFGS
+
+    @pytest.fixture(autouse=True)
+    def reset_threads(self):
+        yield
+        parallel.set_threads(None)
+
+    @pytest.fixture(scope="class")
+    def clips(self):
+        rng = np.random.default_rng(6)
+        return [mix_at_snr(speech_surrogate(rng, sec), white_noise(rng, sec), 5.0)
+                for sec in (1.3, 2.3, 0.9, 1.7)]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_clip_gets_what_run_pipeline_gives_it(self, clips, threads):
+        parallel.set_threads(1)
+        want = [[_outcome(run_pipeline(clip, cfg)) for cfg in self.CFGS] for clip in clips]
+        error = OSError("not a WAV")   # a declared decode error stays its clip's
+        want.insert(2, [error] * 3)
+        parallel.set_threads(threads)
+        got = list(run_clips(clips[:2] + [error] + clips[2:], self.CFGS))
+        assert [[r if r is error else _outcome(r) for r in results] for results in got] == want
+
+    def test_closing_early_drops_the_queued_clips(self, clips, monkeypatch):
+        parallel.set_threads(2)   # two clips in flight
+        ran = []
+
+        def slow(block, cfg, noise):   # so that the next clip's tasks are running at close
+            time.sleep(0.05)
+            ran.append(1)
+            return preprocess_rows_scratch(block, cfg, noise)
+
+        monkeypatch.setattr(pipeline, "preprocess_rows_scratch", slow)
+        list(run_clips(clips * 3, self.CFGS))
+        every = len(ran)
+        ran.clear()
+        results = run_clips(clips * 3, self.CFGS)
+        next(results)
+        results.close()   # cancels the queued clip and waits for its started tasks
+        done = len(ran)
+        time.sleep(0.2)
+        assert len(ran) == done < every
